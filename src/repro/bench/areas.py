@@ -488,7 +488,7 @@ def bench_cluster(seed: int, reps: int) -> List[BenchRecord]:
     )
     load_cfg = LoadgenConfig(
         mode="closed", clients=_CLUSTER_CLIENTS, sessions=_CLUSTER_SESSIONS,
-        time_scale=1.0, seed=seed, cluster=True, binary=True,
+        time_scale=1.0, seed=seed, cluster=True,
     )
     digest = config_digest({
         "area": "cluster",

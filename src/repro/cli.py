@@ -338,11 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
         "restarts and flaky transports",
     )
     load_p.add_argument(
-        "--binary", action="store_true",
-        help="negotiate the length-prefixed binary framing in each "
-        "client's hello (resilient clients re-negotiate on reconnect)",
-    )
-    load_p.add_argument(
         "--cluster", action="store_true",
         help="target is a placer front-end: use resilient clients that "
         "follow REDIRECT replies to their assigned shard",
@@ -826,7 +821,6 @@ def _cmd_loadgen(args) -> int:
         time_scale=time_scale,
         drain=args.drain,
         resilient=args.resilient,
-        binary=args.binary,
         cluster=args.cluster,
         client_backoff_cap_s=args.backoff_cap,
         breaker_threshold=args.breaker_threshold,

@@ -49,9 +49,6 @@ class ServeClient:
         self.writer = writer
         self._ids = itertools.count(1)
         self._closed = False
-        #: length-prefixed binary framing; flips on after a successful
-        #: ``hello(binary=True)`` handshake (the switch is one-way)
-        self.binary = False
 
     @classmethod
     async def connect(
@@ -93,7 +90,7 @@ class ServeClient:
             # aborted mid-close can surface from wait_closed();
             # RuntimeError covers "Event loop is closed" during teardown.
             pass
-        # Unblock any pending readline cleanly: feeding EOF makes a racing
+        # Unblock any pending frame read cleanly: feeding EOF makes a racing
         # reader see b"" instead of hanging on a dead transport.
         try:
             self.reader.feed_eof()
@@ -119,35 +116,16 @@ class ServeClient:
         frame.update(fields)
 
         async def round_trip() -> Dict[str, Any]:
-            if self.binary:
-                self.writer.write(protocol.encode_binary_frame(frame))
-            else:
-                self.writer.write(protocol.encode_frame(frame))
+            self.writer.write(protocol.encode_frame(frame))
             await self.writer.drain()
-            return await self._read_reply()
-
-        if timeout is None:
-            return await round_trip()
-        return await asyncio.wait_for(round_trip(), timeout=timeout)
-
-    async def _read_reply(self) -> Dict[str, Any]:
-        """Read one reply frame in the connection's current encoding."""
-        if not self.binary:
-            line = await self.reader.readline()
+            line = await protocol.read_raw_frame(self.reader)
             if not line:
                 raise ProtocolError(
                     protocol.ErrorCode.INTERNAL, "server closed the connection"
                 )
             return protocol.decode_frame(line)
-        try:
-            header = await self.reader.readexactly(protocol.BINARY_HEADER_BYTES)
-            length = protocol.parse_binary_header(header)
-            payload = await self.reader.readexactly(length)
-        except asyncio.IncompleteReadError:
-            raise ProtocolError(
-                protocol.ErrorCode.INTERNAL, "server closed the connection"
-            ) from None
-        return protocol.decode_binary_frame(header + payload)
+
+        return await asyncio.wait_for(round_trip(), timeout=timeout)
 
     async def call(
         self, op: str, timeout: Optional[float] = None, **fields: Any
@@ -159,18 +137,8 @@ class ServeClient:
         return reply
 
     # ------------------------------------------------------------------
-    async def hello(self, client: str, binary: bool = False) -> Dict[str, Any]:
-        """Bind this connection to a durable, lease-holding identity.
-
-        With ``binary=True`` the hello also negotiates the length-prefixed
-        binary framing: the handshake itself runs in the current encoding,
-        and every frame after the server's acknowledging reply switches.
-        """
-        if binary:
-            reply = await self.call("hello", client=client, binary=True)
-            if reply.get("binary"):
-                self.binary = True
-            return reply
+    async def hello(self, client: str) -> Dict[str, Any]:
+        """Bind this connection to a durable, lease-holding identity."""
         return await self.call("hello", client=client)
 
     async def heartbeat(self) -> Dict[str, Any]:

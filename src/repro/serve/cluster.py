@@ -18,17 +18,16 @@ client works unchanged.  Placement is delivered two ways:
   is re-placed.
 * **Forward.**  Any other first frame starts a frame-aware bidirectional
   pump to the assigned shard: the front-end stays on the data path,
-  tracking binary-framing negotiation (the codec switch applies to both
-  legs), per-client demand, in-flight ``pp_begin`` requests and admitted
-  periods.  Forward mode is what makes **migration** possible: when a
-  forwarded client's only outstanding work is a *parked* ``pp_begin`` and
-  its shard is saturated while another shard has headroom, the balance
-  loop closes the old shard leg (the shard cancels the parked period on
-  EOF — it holds no capacity), re-binds the client identity on the target
-  shard with an injected ``hello`` (a negative request id the pump
-  swallows), and re-issues the parked begin verbatim — same request id,
-  same idempotency token — so the client simply sees its reply arrive
-  from a shard with room.
+  tracking per-client demand, in-flight ``pp_begin`` requests and
+  admitted periods.  Forward mode is what makes **migration** possible:
+  when a forwarded client's only outstanding work is a *parked*
+  ``pp_begin`` and its shard is saturated while another shard has
+  headroom, the balance loop closes the old shard leg (the shard cancels
+  the parked period on EOF — it holds no capacity), re-binds the client
+  identity on the target shard with an injected ``hello`` (a negative
+  request id the pump swallows), and re-issues the parked begin verbatim
+  — same request id, same idempotency token — so the client simply sees
+  its reply arrive from a shard with room.
 
 ``query`` and ``stats`` on a connection that has not picked a shard are
 aggregated across every live shard, so one probe sees cluster-wide
@@ -44,6 +43,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import dataclasses
+import functools
 import itertools
 import os
 import signal
@@ -65,6 +65,18 @@ __all__ = [
     "LocalCluster",
     "start_local_cluster",
 ]
+
+
+async def _send_frame(
+    writer: asyncio.StreamWriter, frame: Dict[str, Any]
+) -> bool:
+    """Write one frame to a client; False once the client is gone."""
+    try:
+        writer.write(protocol.encode_frame(frame))
+        await writer.drain()
+        return True
+    except (ConnectionError, RuntimeError):
+        return False
 
 
 def _connect_kwargs(address: ShardAddress) -> Dict[str, Any]:
@@ -133,19 +145,9 @@ class ClusterConfig:
 class _ForwardPump:
     """One forwarded client: a frame-aware relay to its assigned shard.
 
-    The pump re-encodes every frame rather than splicing bytes, because
-    the two legs can transiently disagree on encoding: after a migration
-    the new shard leg starts in NDJSON while the client leg may already
-    be binary, and during binary negotiation the acknowledging reply
-    itself still travels in the old encoding.  *Reads* sniff the
-    encoding per frame (``read_raw_frame(binary=None)``) — a leg's read
-    is usually already parked when the negotiating ack flips the
-    encoding, so a mode flag checked at read *start* would strand the
-    pump in ``readline()`` while binary frames arrive.  *Writes* carry
-    explicit flags: ``client_binary`` flips when the ack is forwarded,
-    and ``shard_write_binary`` must flip as soon as a ``hello {binary}``
-    is sent upstream of it (the shard switches the moment it *sends* the
-    ack, before the pump has read it).
+    Both legs read whole frames through :func:`protocol.read_raw_frame`
+    and decode them, because the pump tracks begins, ends and the hello
+    it replays on migration.
     """
 
     def __init__(
@@ -164,8 +166,6 @@ class _ForwardPump:
         self.client_reader = reader
         self.client_writer = writer
         self.shard = shard
-        self.client_binary = False
-        self.shard_write_binary = False
         self.backend: Optional[ServeClient] = None
         #: serializes client->shard writes against migration's leg swap
         self._backend_lock = asyncio.Lock()
@@ -200,7 +200,7 @@ class _ForwardPump:
             # back with RETRY_AFTER: its resilient layer re-dials the
             # front-end, by which time the health loop has re-placed it.
             self.frontend.shard_trouble(self.shard)
-            await self._send_client(protocol.error_reply(
+            await _send_frame(self.client_writer, protocol.error_reply(
                 first_frame.get("id"), ErrorCode.RETRY_AFTER,
                 f"shard {self.shard.name} is unreachable; retry",
                 retry_after_s=cfg.retry_after_s,
@@ -242,21 +242,22 @@ class _ForwardPump:
         while not self._closed:
             try:
                 buf = await protocol.read_raw_frame(
-                    self.client_reader, None, cfg.max_frame_bytes
+                    self.client_reader, cfg.max_frame_bytes
                 )
-            except (ProtocolError, ConnectionError, ValueError,
-                    asyncio.IncompleteReadError):
+                if not buf:
+                    return  # client hung up
+                frame = protocol.decode_frame(buf, cfg.max_frame_bytes)
+            except ConnectionError:
                 return
-            if not buf:
-                return  # client hung up
-            try:
-                frame = protocol.decode_any_frame(buf, cfg.max_frame_bytes)
             except ProtocolError as exc:
-                # Undecodable but completely-read frame: answer in the
-                # shard's stead so the legs never disagree about it.
-                await self._send_client(
-                    protocol.error_reply(None, exc.code, exc.message)
-                )
+                # Answer in the shard's stead so the legs never disagree
+                # about the frame; an oversized one has desynchronized the
+                # stream, so — as on a shard — the reply ends the session.
+                await _send_frame(self.client_writer, protocol.error_reply(
+                    None, exc.code, exc.message
+                ))
+                if exc.code == ErrorCode.FRAME_TOO_LARGE:
+                    return
                 continue
             self._track_outbound(frame)
             async with self._backend_lock:
@@ -264,7 +265,7 @@ class _ForwardPump:
                 if backend is None or backend.closed:
                     return
                 try:
-                    backend.writer.write(self._encode_shard(frame))
+                    backend.writer.write(protocol.encode_frame(frame))
                     await backend.writer.drain()
                 except (ConnectionError, RuntimeError):
                     return
@@ -280,10 +281,9 @@ class _ForwardPump:
                 continue
             try:
                 buf = await protocol.read_raw_frame(
-                    backend.reader, None, cfg.max_frame_bytes
+                    backend.reader, cfg.max_frame_bytes
                 )
-            except (ProtocolError, ConnectionError, ValueError,
-                    asyncio.IncompleteReadError):
+            except (ProtocolError, ConnectionError):
                 buf = b""
             if not buf:
                 if self._closed:
@@ -296,7 +296,7 @@ class _ForwardPump:
                 self.frontend.shard_trouble(self.shard)
                 return
             try:
-                reply = protocol.decode_any_frame(buf, cfg.max_frame_bytes)
+                reply = protocol.decode_frame(buf, cfg.max_frame_bytes)
             except ProtocolError:
                 continue
             rid = reply.get("id")
@@ -305,32 +305,8 @@ class _ForwardPump:
                     return
                 continue
             self._track_reply(reply)
-            if not await self._send_client(reply):
+            if not await _send_frame(self.client_writer, reply):
                 return
-            if (
-                reply.get("ok") and reply.get("binary")
-                and not self.client_binary
-            ):
-                # hello ack forwarded: both legs switch to binary framing
-                self.client_binary = True
-                self.shard_write_binary = True
-
-    async def _send_client(self, frame: Dict[str, Any]) -> bool:
-        encode = (
-            protocol.encode_binary_frame if self.client_binary
-            else protocol.encode_frame
-        )
-        try:
-            self.client_writer.write(encode(frame))
-            await self.client_writer.drain()
-            return True
-        except (ConnectionError, RuntimeError):
-            return False
-
-    def _encode_shard(self, frame: Dict[str, Any]) -> bytes:
-        if self.shard_write_binary:
-            return protocol.encode_binary_frame(frame)
-        return protocol.encode_frame(frame)
 
     # ------------------------------------------------------------------
     # bookkeeping
@@ -429,15 +405,10 @@ class _ForwardPump:
                 self._swallow[inject_id] = "hello"
                 hello = dict(self._hello_frame)
                 hello["id"] = inject_id
-                # The hello travels in NDJSON (fresh connection), but the
-                # shard switches to binary the moment it sends the ack —
-                # so every frame *after* the hello must already be in the
-                # client's negotiated encoding.
-                self.shard_write_binary = self.client_binary
                 backend.writer.write(protocol.encode_frame(hello))
                 for rid in sorted(self._inflight):
                     frame, _ = self._inflight[rid]
-                    backend.writer.write(self._encode_shard(frame))
+                    backend.writer.write(protocol.encode_frame(frame))
                     self._inflight[rid] = (frame, time.monotonic())
                 await backend.writer.drain()
                 self.shard = target
@@ -1025,44 +996,32 @@ class ClusterFrontend:
     ) -> None:
         """Dispatch one front-end connection.
 
-        The front-end itself always speaks NDJSON: binary framing is a
-        per-shard negotiation that rides through the pump.  The first
-        shard-addressed frame (``hello``, ``pp_begin``, ``pp_end``)
+        The first shard-addressed frame (``hello``, ``pp_begin``, ``pp_end``)
         flips the connection into forward mode and hands it to a pump;
         ``query``/``stats``/``drain`` are answered here with aggregates.
         """
-        async def send(frame: Dict[str, Any]) -> None:
-            try:
-                writer.write(protocol.encode_frame(frame))
-                await writer.drain()
-            except (ConnectionError, RuntimeError):
-                pass
-
+        send = functools.partial(_send_frame, writer)
         try:
             while not self.draining:
                 try:
-                    line = await reader.readline()
-                except (ConnectionError, asyncio.IncompleteReadError):
-                    return
-                except ValueError:
-                    await send(protocol.error_reply(
-                        None, ErrorCode.FRAME_TOO_LARGE,
-                        f"request frame exceeds "
-                        f"{self.cfg.max_frame_bytes} bytes",
-                    ))
-                    return
-                if not line:
-                    return
-                self.c_requests.inc()
-                try:
+                    line = await protocol.read_raw_frame(
+                        reader, self.cfg.max_frame_bytes
+                    )
+                    if not line:
+                        return
+                    self.c_requests.inc()
                     frame = protocol.decode_frame(
                         line, self.cfg.max_frame_bytes
                     )
                     request = protocol.parse_request(frame)
+                except ConnectionError:
+                    return
                 except ProtocolError as exc:
                     await send(protocol.error_reply(
                         None, exc.code, exc.message
                     ))
+                    if exc.code == ErrorCode.FRAME_TOO_LARGE:
+                        return  # the stream cannot be re-synchronized
                     continue
                 if request.op == "hello":
                     handed_off = await self._op_hello(

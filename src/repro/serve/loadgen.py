@@ -82,9 +82,6 @@ class LoadgenConfig:
     begin_timeout_s: Optional[float] = None
     #: send ``drain`` once the run finishes (lets a CI server exit cleanly)
     drain: bool = False
-    #: negotiate the length-prefixed binary framing in each client's hello
-    #: (resilient clients re-negotiate it on every reconnect)
-    binary: bool = False
     #: target is a cluster front-end: clients are resilient and follow
     #: REDIRECT replies to their assigned shard
     cluster: bool = False
@@ -334,15 +331,7 @@ class _Runner:
     async def _make_client(self):
         """One connection: thin by default, resilient when configured."""
         if not self.resilient:
-            client = await ServeClient.connect(**self.connect_kwargs)
-            if self.cfg.binary:
-                # binary framing is negotiated in hello, so binary-mode
-                # clients carry a (lease-bound) identity
-                self._next_client += 1
-                await client.hello(
-                    f"loadgen-{self.cfg.seed}-{self._next_client}", binary=True
-                )
-            return client
+            return await ServeClient.connect(**self.connect_kwargs)
         self._next_client += 1
         extra: Dict[str, Any] = {}
         if self.cfg.client_backoff_cap_s is not None:
@@ -355,7 +344,6 @@ class _Runner:
             # loadgen counts RETRY_AFTER itself (its backoff loop is the
             # experiment); the resilient layer handles transport faults only
             retry_admission=False,
-            binary=self.cfg.binary,
             follow_redirects=self.cfg.cluster,
             breaker_threshold=self.cfg.breaker_threshold,
             breaker_reset_s=self.cfg.breaker_reset_s,

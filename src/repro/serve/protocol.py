@@ -45,16 +45,11 @@ __all__ = [
     "MAX_FRAME_BYTES",
     "MAX_IDENT_CHARS",
     "VERBS",
-    "BINARY_MAGIC",
-    "BINARY_HEADER_BYTES",
     "ErrorCode",
     "Request",
     "parse_request",
     "encode_frame",
     "decode_frame",
-    "encode_binary_frame",
-    "parse_binary_header",
-    "decode_binary_frame",
     "decode_any_frame",
     "read_raw_frame",
     "ok_reply",
@@ -72,14 +67,6 @@ VERBS = ("hello", "heartbeat", "pp_begin", "pp_end", "query", "stats", "drain")
 
 #: upper bound on client-supplied identity strings (client ids, tokens)
 MAX_IDENT_CHARS = 128
-
-#: first byte of a length-prefixed binary frame.  0xB5 can never start a
-#: JSON text (it is not valid leading UTF-8), so NDJSON and binary frames
-#: are distinguishable from their first byte on the same connection.
-BINARY_MAGIC = 0xB5
-
-#: magic byte + 4-byte big-endian payload length
-BINARY_HEADER_BYTES = 5
 
 
 class ErrorCode:
@@ -145,12 +132,8 @@ def decode_frame(line: bytes, max_bytes: int = MAX_FRAME_BYTES) -> Dict[str, Any
             ErrorCode.FRAME_TOO_LARGE,
             f"frame of {len(line)} bytes exceeds the {max_bytes}-byte limit",
         )
-    return _loads_object(line)
-
-
-def _loads_object(data: bytes) -> Dict[str, Any]:
     try:
-        obj = json.loads(data)
+        obj = json.loads(line)
     except ValueError as exc:
         raise ProtocolError(ErrorCode.BAD_FRAME, f"invalid JSON: {exc}") from None
     if not isinstance(obj, dict):
@@ -160,132 +143,39 @@ def _loads_object(data: bytes) -> Dict[str, Any]:
     return obj
 
 
-# ----------------------------------------------------------------------
-# binary framing (negotiated in "hello" with {"binary": true})
-# ----------------------------------------------------------------------
-def encode_binary_frame(obj: Dict[str, Any]) -> bytes:
-    """Serialize one binary frame: magic, payload length, compact JSON.
-
-    The payload is the same compact JSON as :func:`encode_frame` minus the
-    newline; the length prefix removes per-byte newline scanning from the
-    read path, which is what makes the binary codec faster under load.
-    """
-    payload = json.dumps(obj, separators=(",", ":")).encode("utf-8")
-    return bytes((BINARY_MAGIC,)) + len(payload).to_bytes(4, "big") + payload
-
-
-def parse_binary_header(
-    header: bytes, max_bytes: int = MAX_FRAME_BYTES
-) -> int:
-    """Validate a binary frame header; returns the payload length.
-
-    Raises :class:`~repro.errors.ProtocolError` with ``BAD_FRAME`` on a
-    truncated header or wrong magic, ``FRAME_TOO_LARGE`` when the declared
-    frame would exceed ``max_bytes``.
-    """
-    if len(header) < BINARY_HEADER_BYTES:
-        raise ProtocolError(
-            ErrorCode.BAD_FRAME,
-            f"truncated binary frame header ({len(header)} of "
-            f"{BINARY_HEADER_BYTES} bytes)",
-        )
-    if header[0] != BINARY_MAGIC:
-        raise ProtocolError(
-            ErrorCode.BAD_FRAME,
-            f"bad binary frame magic 0x{header[0]:02x} "
-            f"(expected 0x{BINARY_MAGIC:02x})",
-        )
-    length = int.from_bytes(header[1:BINARY_HEADER_BYTES], "big")
-    if BINARY_HEADER_BYTES + length > max_bytes:
-        raise ProtocolError(
-            ErrorCode.FRAME_TOO_LARGE,
-            f"binary frame of {BINARY_HEADER_BYTES + length} bytes exceeds "
-            f"the {max_bytes}-byte limit",
-        )
-    return length
-
-
-def decode_binary_frame(
-    buf: bytes, max_bytes: int = MAX_FRAME_BYTES
-) -> Dict[str, Any]:
-    """Parse one complete binary frame (header + payload) into a dict."""
-    length = parse_binary_header(buf[:BINARY_HEADER_BYTES], max_bytes)
-    payload = buf[BINARY_HEADER_BYTES:]
-    if len(payload) != length:
-        raise ProtocolError(
-            ErrorCode.BAD_FRAME,
-            f"binary frame payload is {len(payload)} bytes but the header "
-            f"declared {length}",
-        )
-    return _loads_object(payload)
-
-
-def decode_any_frame(
-    buf: bytes, max_bytes: int = MAX_FRAME_BYTES
-) -> Dict[str, Any]:
-    """Decode a frame of either encoding, keyed on the magic byte."""
-    if buf[:1] == bytes((BINARY_MAGIC,)):
-        return decode_binary_frame(buf, max_bytes)
-    return decode_frame(buf, max_bytes)
+#: The server's per-request decode goes through this name: the layer
+#: tracer in ``perfbench/tracer.py`` wraps ``protocol.decode_any_frame``
+#: by attribute, so renaming or dropping it would hide the decode layer.
+decode_any_frame = decode_frame
 
 
 async def read_raw_frame(
-    reader: asyncio.StreamReader,
-    binary: Optional[bool],
-    max_bytes: int = MAX_FRAME_BYTES,
+    reader: asyncio.StreamReader, max_bytes: int = MAX_FRAME_BYTES
 ) -> bytes:
-    """Read one raw frame in the connection's current encoding.
+    """Read one raw frame (the terminated line) off ``reader``.
 
-    ``binary=None`` sniffs the encoding per frame from the first byte
-    (the binary magic never opens a JSON text) — used by the cluster
-    forwarding pump, whose inbound leg may flip encodings between frames
-    while the read is already parked.  Returns the complete frame bytes
-    (header + payload for binary, the terminated line for NDJSON) or
-    ``b""`` on a clean EOF at a frame boundary.  EOF *inside* a binary
-    frame raises :class:`~repro.errors.ProtocolError` with ``BAD_FRAME``
-    — there is no newline to resynchronize on, so a torn binary frame is
-    fatal to the connection.  Shared by the server, the cluster
-    forwarding pump and the resilient client's reader loop so all three
-    agree on framing.
+    The one place a frame is read off a peer stream: the server, the
+    cluster front-end and its forwarding pump, and both clients share it
+    so they agree on framing and on the oversize error.  Returns ``b""``
+    on a clean EOF.  A line over ``max_bytes`` — or over the stream's own
+    limit, which asyncio reports as ``ValueError``/``LimitOverrunError``
+    — raises :class:`~repro.errors.ProtocolError` with
+    ``FRAME_TOO_LARGE``; the byte stream cannot be re-synchronized after
+    that, so callers reply with the typed error and hang up.
     """
-    sniffed = b""
-    if binary is None:
-        try:
-            sniffed = await reader.readexactly(1)
-        except asyncio.IncompleteReadError:
-            return b""  # clean EOF before any frame
-        binary = sniffed == bytes((BINARY_MAGIC,))
-    if not binary:
-        line = sniffed + await reader.readline()
-        if len(line) > max_bytes:
-            raise ProtocolError(
-                ErrorCode.FRAME_TOO_LARGE,
-                f"frame of {len(line)} bytes exceeds the {max_bytes}-byte limit",
-            )
-        return line
     try:
-        header = sniffed + await reader.readexactly(
-            BINARY_HEADER_BYTES - len(sniffed)
+        line = await reader.readline()
+    except (ValueError, asyncio.LimitOverrunError):
+        raise ProtocolError(
+            ErrorCode.FRAME_TOO_LARGE,
+            f"frame exceeds the {max_bytes}-byte limit",
+        ) from None
+    if len(line) > max_bytes:
+        raise ProtocolError(
+            ErrorCode.FRAME_TOO_LARGE,
+            f"frame of {len(line)} bytes exceeds the {max_bytes}-byte limit",
         )
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial and not sniffed:
-            return b""  # clean EOF between frames
-        raise ProtocolError(
-            ErrorCode.BAD_FRAME,
-            f"connection closed inside a binary frame header "
-            f"({len(sniffed) + len(exc.partial)} of {BINARY_HEADER_BYTES} "
-            f"bytes)",
-        ) from None
-    length = parse_binary_header(header, max_bytes)
-    try:
-        payload = await reader.readexactly(length)
-    except asyncio.IncompleteReadError as exc:
-        raise ProtocolError(
-            ErrorCode.BAD_FRAME,
-            f"connection closed inside a binary frame payload "
-            f"({len(exc.partial)} of {length} bytes)",
-        ) from None
-    return header + payload
+    return line
 
 
 # ----------------------------------------------------------------------

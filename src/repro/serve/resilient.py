@@ -6,10 +6,7 @@ the client half of the service's fault-tolerance contract on top of it:
 
 * **Reconnect + hello.**  Every (re)connection re-binds the same durable
   ``client_id`` with ``hello``, reattaching to periods that survived a
-  disconnect or a server restart under the lease.  When the client was
-  built with ``binary=True``, each re-``hello`` also renegotiates the
-  length-prefixed binary framing, so the fast codec survives crashes and
-  reconnects instead of silently degrading to NDJSON.
+  disconnect or a server restart under the lease.
 * **Redirect following.**  A cluster front-end (``repro.serve.cluster``)
   may answer ``hello`` with a typed ``REDIRECT`` carrying the address of
   the admission shard this client was placed on.  The client transparently
@@ -89,7 +86,6 @@ class ResilientServeClient:
         backoff_base_s: float = 0.02,
         backoff_cap_s: float = 1.0,
         retry_admission: bool = True,
-        binary: bool = False,
         follow_redirects: bool = True,
         max_redirects: int = 8,
         breaker_threshold: Optional[int] = None,
@@ -107,7 +103,6 @@ class ResilientServeClient:
         }
         #: where we currently connect — diverges from home after a REDIRECT
         self._target: Dict[str, Any] = dict(self._home)
-        self.binary = binary
         self.follow_redirects = follow_redirects
         self.max_redirects = max_redirects
         self.client_id = client_id or f"client-{uuid.uuid4().hex[:12]}"
@@ -275,13 +270,8 @@ class ResilientServeClient:
                 )
                 # Re-bind the durable identity on every (re)connection, so
                 # the lease transfers to this socket and replayed periods
-                # reattach.  Binary framing is renegotiated here too — the
-                # codec choice is per-connection, so every re-hello must
-                # re-request it or a reconnect would silently fall back to
-                # NDJSON.
+                # reattach.
                 hello_fields: Dict[str, Any] = {"client": self.client_id}
-                if self.binary:
-                    hello_fields["binary"] = True
                 if self.follow_redirects:
                     hello_fields["redirect"] = True
                 if self.predicted_demand_bytes is not None:
@@ -364,34 +354,23 @@ class ResilientServeClient:
             ) from last_exc
 
     async def _reader_loop(self, conn: ServeClient) -> None:
-        """Dispatch reply frames to their callers by request id.
-
-        The loop owns the connection's encoding state: when the server
-        acknowledges a ``hello {binary}``, the very next frame it sends is
-        length-prefixed, so the switch must happen here — between two
-        reads — not in the caller that sent the hello (which only learns
-        of the ack after this loop has already gone back to reading).
-        """
+        """Dispatch reply frames to their callers by request id."""
         try:
             while True:
                 try:
-                    buf = await protocol.read_raw_frame(
-                        conn.reader, conn.binary
-                    )
+                    buf = await protocol.read_raw_frame(conn.reader)
                 except ProtocolError:
-                    break  # torn binary frame: the stream is desynchronized
+                    break  # oversized reply: the stream is desynchronized
                 if not buf:
                     break
                 try:
-                    reply = protocol.decode_any_frame(buf)
+                    reply = protocol.decode_frame(buf)
                 except ProtocolError:
                     continue  # undecodable reply: skip, id-matching resyncs
-                if reply.get("ok") and reply.get("binary") and not conn.binary:
-                    conn.binary = True  # hello ack: switch both directions
                 future = self._pending.pop(reply.get("id"), None)
                 if future is not None and not future.done():
                     future.set_result(reply)
-        except (ConnectionError, ValueError, asyncio.CancelledError):
+        except (ConnectionError, asyncio.CancelledError):
             pass
         finally:
             if self._conn is conn:
@@ -424,10 +403,7 @@ class ResilientServeClient:
         self._pending[request_id] = future
         try:
             async with self._send_lock:  # type: ignore[union-attr]
-                if conn.binary:
-                    conn.writer.write(protocol.encode_binary_frame(frame))
-                else:
-                    conn.writer.write(protocol.encode_frame(frame))
+                conn.writer.write(protocol.encode_frame(frame))
                 await conn.writer.drain()
             if timeout is not None:
                 return await asyncio.wait_for(future, timeout=timeout)

@@ -781,21 +781,13 @@ class _Session:
         #: frames that arrived while the connection was parked; processed
         #: in order once the deferred pp_begin reply has been sent
         self.pushback: List[bytes] = []
-        #: length-prefixed binary framing, negotiated in "hello"; the
-        #: switch takes effect after the hello reply (which is still sent
-        #: in the encoding the request arrived in)
-        self.binary = False
-        self.binary_pending = False
 
     async def send(self, frame: Dict[str, Any]) -> None:
         if self.closed:
             return
-        encode = (
-            protocol.encode_binary_frame if self.binary else protocol.encode_frame
-        )
         timeout = self.service.cfg.write_timeout_s
         try:
-            self.writer.write(encode(frame))
+            self.writer.write(protocol.encode_frame(frame))
             if timeout is None:
                 await self.writer.drain()
             else:
@@ -1029,22 +1021,6 @@ class AdmissionServer:
             with contextlib.suppress(Exception):
                 writer.close()
 
-    async def _read_frame(
-        self, session: _Session, reader: asyncio.StreamReader
-    ) -> bytes:
-        """Read one raw frame in the session's current encoding.
-
-        Returns ``b""`` on clean EOF.  Raises :class:`ProtocolError` for a
-        truncated or oversized binary frame (the stream cannot be
-        re-synchronized, so the caller replies with the typed error and
-        hangs up).
-        """
-        if not session.binary:
-            return await reader.readline()
-        return await protocol.read_raw_frame(
-            reader, True, self.cfg.max_frame_bytes
-        )
-
     async def _serve_session(
         self, session: _Session, reader: asyncio.StreamReader
     ) -> None:
@@ -1053,30 +1029,17 @@ class AdmissionServer:
                 line = session.pushback.pop(0)
             else:
                 try:
-                    if self.cfg.idle_timeout_s is not None:
-                        line = await asyncio.wait_for(
-                            self._read_frame(session, reader),
-                            timeout=self.cfg.idle_timeout_s,
-                        )
-                    else:
-                        line = await self._read_frame(session, reader)
-                except asyncio.TimeoutError:
-                    return  # idle client: hang up
-                except (ConnectionError, asyncio.IncompleteReadError):
-                    return
-                except ValueError:
-                    # StreamReader overran its limit: the frame is oversized
-                    # and the byte stream can no longer be re-synchronized —
-                    # reply with the typed error, then hang up.
-                    self.service.c_protocol_errors.inc()
-                    await session.send(protocol.error_reply(
-                        None, ErrorCode.FRAME_TOO_LARGE,
-                        f"request frame exceeds {self.cfg.max_frame_bytes} bytes",
-                    ))
-                    return
+                    line = await asyncio.wait_for(
+                        protocol.read_raw_frame(
+                            reader, self.cfg.max_frame_bytes
+                        ),
+                        timeout=self.cfg.idle_timeout_s,
+                    )
+                except (asyncio.TimeoutError, ConnectionError):
+                    return  # idle client or dead transport: hang up
                 except ProtocolError as exc:
-                    # Truncated or oversized binary frame: typed error, then
-                    # hang up (the length-prefixed stream is unrecoverable).
+                    # Oversized frame: the byte stream can no longer be
+                    # re-synchronized — typed error, then hang up.
                     self.service.c_protocol_errors.inc()
                     await session.send(
                         protocol.error_reply(None, exc.code, exc.message)
@@ -1100,11 +1063,6 @@ class AdmissionServer:
             reply = await self._dispatch(session, reader, request)
             if reply is not None:
                 await session.send(reply)
-            if session.binary_pending:
-                # hello negotiated binary framing; it applies to every
-                # frame after the (just-sent) hello reply.
-                session.binary_pending = False
-                session.binary = True
             if request.op == "drain":
                 self.request_drain()
 
@@ -1272,7 +1230,7 @@ class AdmissionServer:
     ) -> Optional[Dict[str, Any]]:
         """Defer the reply until admission, timeout, drain, or disconnect.
 
-        While parked we keep one ``readline`` in flight so a client that
+        While parked we keep one frame read in flight so a client that
         dies mid-park is noticed immediately (its period is cancelled and
         its demand released) instead of squatting on the waitlist until the
         park timeout.  Frames a client pipelines while parked are buffered
@@ -1307,9 +1265,9 @@ class AdmissionServer:
         try:
             while True:
                 if read_task is None:
-                    read_task = asyncio.ensure_future(
-                        self._read_frame(session, reader)
-                    )
+                    read_task = asyncio.ensure_future(protocol.read_raw_frame(
+                        reader, self.cfg.max_frame_bytes
+                    ))
                 timeout = (
                     None if deadline is None else max(0.0, deadline - loop.time())
                 )
@@ -1322,14 +1280,9 @@ class AdmissionServer:
                 if read_task in done:
                     try:
                         line = read_task.result()
-                    except (
-                        ConnectionError,
-                        ValueError,
-                        asyncio.IncompleteReadError,
-                        ProtocolError,
-                    ):
-                        # A malformed binary frame while parked is handled
-                        # like a disconnect: the stream is unrecoverable.
+                    except (ConnectionError, ProtocolError):
+                        # An oversized frame while parked is handled like
+                        # a disconnect: the stream is unrecoverable.
                         line, eof = b"", True
                     read_task = None
                     if line:
@@ -1379,11 +1332,7 @@ class AdmissionServer:
             if read_task is not None:
                 read_task.cancel()
                 with contextlib.suppress(
-                    asyncio.CancelledError,
-                    asyncio.IncompleteReadError,
-                    ConnectionError,
-                    ValueError,
-                    ProtocolError,
+                    asyncio.CancelledError, ConnectionError, ProtocolError
                 ):
                     await read_task
         if future.result() == "drained":
@@ -1424,20 +1373,10 @@ class AdmissionServer:
         """Bind this connection to a durable, lease-holding client identity."""
         service = self.service
         record = session.record
-        binary = request.raw.get("binary", False)
-        if not isinstance(binary, bool):
-            return protocol.error_reply(
-                request.id, ErrorCode.BAD_REQUEST,
-                "'binary' must be a boolean when present",
-            )
         if not record.anonymous:
             if record.client_id == request.client:
                 service.leases.renew(record)  # re-hello: plain renewal
-                if binary and not session.binary:
-                    session.binary_pending = True
-                return self._hello_reply(
-                    request.id, record, resumed=True, binary=binary
-                )
+                return self._hello_reply(request.id, record, resumed=True)
             return protocol.error_reply(
                 request.id, ErrorCode.BAD_REQUEST,
                 f"connection is already bound to client "
@@ -1464,16 +1403,13 @@ class AdmissionServer:
         session.record = named
         service.leases.renew(named)
         service.c_hello.inc()
-        if binary and not session.binary:
-            session.binary_pending = True
-        return self._hello_reply(request.id, named, resumed=resumed, binary=binary)
+        return self._hello_reply(request.id, named, resumed=resumed)
 
     def _hello_reply(
         self,
         request_id: Optional[int],
         record: ClientRecord,
         resumed: bool,
-        binary: bool = False,
     ) -> Dict[str, Any]:
         open_periods = []
         for pp_id in record.api.open_ids():
@@ -1493,8 +1429,6 @@ class AdmissionServer:
             lease_ttl_s=self.service.leases.ttl_s,
             open=open_periods,
         )
-        if binary:
-            reply["binary"] = True
         # Learned peak demand doubles as a cluster placement hint: the
         # client forwards it as `hello demand_bytes` on its next connect.
         hint = self.service.predicted_for_client(record.client_id)

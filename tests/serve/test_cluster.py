@@ -141,22 +141,6 @@ class TestForward:
 
         asyncio.run(scenario())
 
-    def test_binary_negotiation_rides_through_the_pump(self, tmp_path):
-        async def scenario():
-            cluster, sock = await start_cluster(tmp_path)
-            client = await ServeClient.connect(unix_path=sock)
-            ack = await client.hello("bin", binary=True)
-            assert ack["binary"] is True
-            assert client.binary is True
-            # frames after the ack travel length-prefixed on both legs
-            begun = await client.pp_begin(MB(1), timeout=5.0)
-            assert begun["admitted"] is True
-            await client.pp_end(begun["pp_id"], timeout=5.0)
-            await client.close()
-            assert await drain(cluster) == 0
-
-        asyncio.run(scenario())
-
     def test_anonymous_begin_is_placed_and_forwarded(self, tmp_path):
         async def scenario():
             cluster, sock = await start_cluster(tmp_path)

@@ -1,4 +1,4 @@
-"""Wire-protocol framing and validation tests (NDJSON and binary)."""
+"""Wire-protocol framing and validation tests."""
 
 import asyncio
 import json
@@ -12,6 +12,7 @@ from repro.core.progress_period import ResourceKind, ReuseLevel
 from repro.errors import ProtocolError
 from repro.serve import protocol
 from repro.serve.client import ServeClient
+from repro.serve.cluster import start_local_cluster
 from repro.serve.protocol import ErrorCode
 from repro.serve.server import AdmissionServer, ServeConfig
 
@@ -22,7 +23,31 @@ def frame(**fields):
     return base
 
 
+#: one representative frame per protocol verb ("binary" is a legacy
+#: hello field that is now ignored like any other unknown field)
+VERB_FRAMES = [
+    frame(op="hello", client="c0"),
+    frame(op="hello", client="c0", binary=True),
+    frame(op="heartbeat"),
+    frame(op="pp_begin", resource="llc", demand_bytes=4096, reuse="high",
+          label="dgemm", sharing_key="p0/k", token="t-1"),
+    frame(op="pp_end", pp_id=12),
+    frame(op="query"),
+    frame(op="query", pp_id=2),
+    frame(op="stats"),
+    frame(op="drain"),
+]
+
+
 class TestFraming:
+    @pytest.mark.parametrize(
+        "doc", VERB_FRAMES, ids=lambda d: f"{d['op']}-{len(d)}"
+    )
+    def test_every_verb_round_trips(self, doc):
+        raw = protocol.encode_frame(doc)
+        assert protocol.decode_frame(raw) == doc
+        assert protocol.parse_request(protocol.decode_frame(raw)).op == doc["op"]
+
     def test_encode_round_trips_through_decode(self):
         doc = frame(op="query", pp_id=3)
         assert protocol.decode_frame(protocol.encode_frame(doc)) == doc
@@ -41,6 +66,31 @@ class TestFraming:
         with pytest.raises(ProtocolError) as err:
             protocol.decode_frame(b"[1, 2, 3]\n")
         assert err.value.code == ErrorCode.BAD_FRAME
+
+    def test_read_raw_frame_reads_lines_then_eof(self):
+        async def scenario():
+            reader = asyncio.StreamReader(limit=64)
+            reader.feed_data(protocol.encode_frame(frame(op="stats")))
+            reader.feed_eof()
+            assert await protocol.read_raw_frame(reader, 64) == (
+                protocol.encode_frame(frame(op="stats"))
+            )
+            assert await protocol.read_raw_frame(reader, 64) == b""
+
+        asyncio.run(scenario())
+
+    @pytest.mark.parametrize("limit", [64, 1024], ids=["stream", "max_bytes"])
+    def test_read_raw_frame_rejects_oversized_lines(self, limit):
+        # over the StreamReader's own limit, or only over max_bytes
+        async def scenario():
+            reader = asyncio.StreamReader(limit=limit)
+            reader.feed_data(protocol.encode_frame(frame(pad="x" * 100)))
+            reader.feed_eof()
+            with pytest.raises(ProtocolError) as err:
+                await protocol.read_raw_frame(reader, 64)
+            assert err.value.code == ErrorCode.FRAME_TOO_LARGE
+
+        asyncio.run(scenario())
 
     def test_decode_rejects_oversized_frames(self):
         raw = protocol.encode_frame(frame(op="query", pad="x" * 100))
@@ -139,93 +189,7 @@ class TestReplies:
 
 
 # ----------------------------------------------------------------------
-# binary (length-prefixed) framing — pure codec tests
-# ----------------------------------------------------------------------
-
-#: one representative frame per protocol verb
-VERB_FRAMES = [
-    frame(op="hello", client="c0"),
-    frame(op="hello", client="c0", binary=True),
-    frame(op="heartbeat"),
-    frame(op="pp_begin", resource="llc", demand_bytes=4096, reuse="high",
-          label="dgemm", sharing_key="p0/k", token="t-1"),
-    frame(op="pp_end", pp_id=12),
-    frame(op="query"),
-    frame(op="query", pp_id=2),
-    frame(op="stats"),
-    frame(op="drain"),
-]
-
-
-class TestBinaryFraming:
-    @pytest.mark.parametrize(
-        "doc", VERB_FRAMES, ids=lambda d: f"{d['op']}-{len(d)}"
-    )
-    def test_every_verb_round_trips(self, doc):
-        raw = protocol.encode_binary_frame(doc)
-        assert protocol.decode_binary_frame(raw) == doc
-        # the generic decoder dispatches on the magic byte
-        assert protocol.decode_any_frame(raw) == doc
-
-    def test_frame_layout(self):
-        raw = protocol.encode_binary_frame(frame(op="stats"))
-        assert raw[0] == protocol.BINARY_MAGIC
-        length = int.from_bytes(raw[1:protocol.BINARY_HEADER_BYTES], "big")
-        assert length == len(raw) - protocol.BINARY_HEADER_BYTES
-
-    def test_magic_is_invalid_utf8_lead_byte(self):
-        # a binary frame can never be mistaken for an NDJSON line (and
-        # vice versa): 0xB5 is a UTF-8 continuation byte, never a lead
-        assert protocol.BINARY_MAGIC >= 0x80
-        ndjson = protocol.encode_frame(frame(op="stats"))
-        assert ndjson[0] != protocol.BINARY_MAGIC
-        assert protocol.decode_any_frame(ndjson) == frame(op="stats")
-
-    def test_truncated_header_is_rejected(self):
-        raw = protocol.encode_binary_frame(frame(op="stats"))
-        with pytest.raises(ProtocolError) as err:
-            protocol.parse_binary_header(raw[:3])
-        assert err.value.code == ErrorCode.BAD_FRAME
-
-    def test_bad_magic_is_rejected(self):
-        raw = bytearray(protocol.encode_binary_frame(frame(op="stats")))
-        raw[0] = 0x7B  # "{" — an NDJSON byte where the magic belongs
-        with pytest.raises(ProtocolError) as err:
-            protocol.parse_binary_header(bytes(raw[:5]))
-        assert err.value.code == ErrorCode.BAD_FRAME
-
-    def test_truncated_payload_is_rejected(self):
-        raw = protocol.encode_binary_frame(frame(op="query", pp_id=3))
-        with pytest.raises(ProtocolError) as err:
-            protocol.decode_binary_frame(raw[:-2])
-        assert err.value.code == ErrorCode.BAD_FRAME
-
-    def test_trailing_garbage_is_rejected(self):
-        raw = protocol.encode_binary_frame(frame(op="query"))
-        with pytest.raises(ProtocolError) as err:
-            protocol.decode_binary_frame(raw + b"xx")
-        assert err.value.code == ErrorCode.BAD_FRAME
-
-    def test_oversized_frame_is_rejected(self):
-        raw = protocol.encode_binary_frame(frame(op="query", pad="x" * 100))
-        with pytest.raises(ProtocolError) as err:
-            protocol.parse_binary_header(raw[:5], max_bytes=64)
-        assert err.value.code == ErrorCode.FRAME_TOO_LARGE
-        with pytest.raises(ProtocolError) as err:
-            protocol.decode_binary_frame(raw, max_bytes=64)
-        assert err.value.code == ErrorCode.FRAME_TOO_LARGE
-
-    def test_non_object_binary_payload_is_rejected(self):
-        payload = b"[1, 2, 3]"
-        raw = (bytes((protocol.BINARY_MAGIC,))
-               + len(payload).to_bytes(4, "big") + payload)
-        with pytest.raises(ProtocolError) as err:
-            protocol.decode_binary_frame(raw)
-        assert err.value.code == ErrorCode.BAD_FRAME
-
-
-# ----------------------------------------------------------------------
-# binary framing — live server round trips and NDJSON interop
+# hello compatibility — live server and cluster forwarding pump
 # ----------------------------------------------------------------------
 def _serve_machine(capacity_mb: float = 4.0):
     machine = default_machine_config()
@@ -234,148 +198,48 @@ def _serve_machine(capacity_mb: float = 4.0):
     return replace(machine, llc=replace(machine.llc, capacity_bytes=capacity))
 
 
-async def _start_server(tmp_path):
-    cfg = ServeConfig(
+def _serve_cfg():
+    return ServeConfig(
         policy=StrictPolicy(), machine=_serve_machine(), sanitize=True,
         drain_grace_s=1.0,
     )
-    server = AdmissionServer(cfg)
-    sock = str(tmp_path / "serve.sock")
-    await server.start(unix_path=sock)
-    run_task = asyncio.ensure_future(server.run_until_drained())
-    return server, sock, run_task
 
 
-async def _finish(server, run_task):
-    server.request_drain()
-    await asyncio.wait_for(run_task, 5.0)
-    sanitizer = server.service.sanitizer
-    assert sanitizer is not None and sanitizer.ok, sanitizer.summary()
-
-
-class TestBinaryEndToEnd:
-    def test_every_verb_over_a_binary_connection(self, tmp_path):
+class TestHelloCompat:
+    @pytest.mark.parametrize("legacy", [{}, {"binary": True}],
+                             ids=["plain", "legacy_binary"])
+    @pytest.mark.parametrize("target", ["server", "forward"])
+    def test_hello_without_binary_keeps_ndjson(self, tmp_path, target, legacy):
+        """An old client's ``"binary": true`` is an ignored unknown field:
+        the ack carries no ``binary`` key, so the client stays on NDJSON."""
         async def scenario():
-            server, sock, run_task = await _start_server(tmp_path)
-            client = await ServeClient.connect(unix_path=sock)
-            try:
-                reply = await client.hello("bin-client", binary=True)
-                assert reply["binary"] is True
-                assert client.binary is True
-                assert (await client.heartbeat())["ok"]
-                begin = await client.pp_begin(
-                    demand_bytes=1 << 20, reuse="high", label="bin/period"
+            sock = str(tmp_path / "serve.sock")
+            if target == "server":
+                server = AdmissionServer(_serve_cfg())
+                await server.start(unix_path=sock)
+                run_task = asyncio.ensure_future(server.run_until_drained())
+            else:
+                cluster = await start_local_cluster(
+                    _serve_cfg(), 2, sock, supervise=False
                 )
-                assert begin["admitted"] is True
-                query = await client.query(begin["pp_id"])
-                assert query["period"]["pp_id"] == begin["pp_id"]
-                assert query["period"]["state"] in ("admitted", "running")
-                assert "resources" in await client.query()
-                stats = await client.stats()
-                assert stats["counters"]["admitted_immediate_total"] >= 1
-                assert (await client.pp_end(begin["pp_id"]))["ok"]
-            finally:
-                await client.close()
-            await _finish(server, run_task)
-
-        asyncio.run(scenario())
-
-    def test_ndjson_and_binary_clients_interoperate(self, tmp_path):
-        async def scenario():
-            server, sock, run_task = await _start_server(tmp_path)
-            plain = await ServeClient.connect(unix_path=sock)
-            binary = await ServeClient.connect(unix_path=sock)
-            try:
-                await plain.hello("plain-client")
-                await binary.hello("binary-client", binary=True)
-                assert plain.binary is False and binary.binary is True
-                # interleave periods from both encodings on one server
-                b1 = await binary.pp_begin(demand_bytes=1 << 20, reuse="high")
-                p1 = await plain.pp_begin(demand_bytes=1 << 20, reuse="low")
-                assert b1["admitted"] and p1["admitted"]
-                assert b1["pp_id"] != p1["pp_id"]
-                await plain.pp_end(p1["pp_id"])
-                await binary.pp_end(b1["pp_id"])
-                stats = await plain.stats()
-                assert stats["counters"]["admitted_immediate_total"] >= 2
-            finally:
-                await plain.close()
-                await binary.close()
-            await _finish(server, run_task)
-
-        asyncio.run(scenario())
-
-    def test_hello_without_binary_keeps_ndjson(self, tmp_path):
-        async def scenario():
-            server, sock, run_task = await _start_server(tmp_path)
             client = await ServeClient.connect(unix_path=sock)
             try:
-                reply = await client.hello("plain")
+                reply = await client.call("hello", client="plain", **legacy)
                 assert "binary" not in reply
-                assert client.binary is False
                 assert (await client.heartbeat())["ok"]
+                begin = await client.pp_begin(demand_bytes=1 << 20, timeout=5.0)
+                assert begin["admitted"] is True
+                assert (await client.pp_end(begin["pp_id"], timeout=5.0))["ok"]
             finally:
                 await client.close()
-            await _finish(server, run_task)
-
-        asyncio.run(scenario())
-
-    def test_server_rejects_bad_magic_with_typed_error(self, tmp_path):
-        async def scenario():
-            server, sock, run_task = await _start_server(tmp_path)
-            reader, writer = await asyncio.open_unix_connection(sock)
-            try:
-                writer.write(protocol.encode_frame(
-                    frame(op="hello", client="x", binary=True)
-                ))
-                await writer.drain()
-                reply = protocol.decode_frame(await reader.readline())
-                assert reply["binary"] is True
-                # now in binary mode: 5 header bytes with a wrong magic
-                writer.write(b"\x00\x00\x00\x00\x02")
-                await writer.drain()
-                # the typed reject comes back binary-framed
-                header = await reader.readexactly(protocol.BINARY_HEADER_BYTES)
-                length = protocol.parse_binary_header(header)
-                payload = await reader.readexactly(length)
-                reply = protocol.decode_binary_frame(header + payload)
-                assert reply["ok"] is False
-                assert reply["error"]["code"] == ErrorCode.BAD_FRAME
-                # ... and the server hangs up (desynchronized stream)
-                assert await reader.read() == b""
-            finally:
-                writer.close()
-            await _finish(server, run_task)
-
-        asyncio.run(scenario())
-
-    def test_server_rejects_oversized_binary_frame_with_typed_error(
-        self, tmp_path
-    ):
-        async def scenario():
-            server, sock, run_task = await _start_server(tmp_path)
-            reader, writer = await asyncio.open_unix_connection(sock)
-            try:
-                writer.write(protocol.encode_frame(
-                    frame(op="hello", client="x", binary=True)
-                ))
-                await writer.drain()
-                protocol.decode_frame(await reader.readline())
-                # header claiming a payload far beyond max_frame_bytes
-                huge = server.cfg.max_frame_bytes + 1
-                writer.write(
-                    bytes((protocol.BINARY_MAGIC,)) + huge.to_bytes(4, "big")
-                )
-                await writer.drain()
-                header = await reader.readexactly(protocol.BINARY_HEADER_BYTES)
-                length = protocol.parse_binary_header(header)
-                payload = await reader.readexactly(length)
-                reply = protocol.decode_binary_frame(header + payload)
-                assert reply["ok"] is False
-                assert reply["error"]["code"] == ErrorCode.FRAME_TOO_LARGE
-                assert await reader.read() == b""
-            finally:
-                writer.close()
-            await _finish(server, run_task)
+            if target == "server":
+                server.request_drain()
+                await asyncio.wait_for(run_task, 5.0)
+                assert server.service.sanitizer.ok
+            else:
+                cluster.request_drain()
+                assert await asyncio.wait_for(
+                    cluster.run_until_drained(), 20.0
+                ) == 0
 
         asyncio.run(scenario())

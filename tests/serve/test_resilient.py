@@ -163,46 +163,6 @@ class TestResilience:
         asyncio.run(scenario())
 
 
-class TestBinaryResilience:
-    def test_binary_framing_survives_a_mid_stream_kill(self, tmp_path):
-        """Regression: binary + resilient used to be mutually exclusive.
-
-        The re-``hello`` on reconnect renegotiates the binary framing, so
-        killing the connection mid-stream with the fast codec on must not
-        wedge or silently fall back for good.
-        """
-        async def scenario():
-            sock = str(tmp_path / "serve.sock")
-            server = AdmissionServer(server_cfg(tmp_path))
-            await server.start(unix_path=sock)
-            client = ResilientServeClient(
-                unix_path=sock, client_id="binfox", binary=True,
-                backoff_base_s=0.01, max_attempts=20,
-            )
-            begun = await client.pp_begin(MB(2))
-            assert begun["admitted"] is True
-            assert client._conn is not None and client._conn.binary is True
-
-            await server.abort()
-            reborn = AdmissionServer(server_cfg(tmp_path))
-            await reborn.start(unix_path=sock)
-
-            # the reconnect re-hellos; the fresh connection must end up
-            # binary again and the replayed period must still be charged
-            q = await client.query()
-            assert client.reconnects >= 1
-            assert client._conn.binary is True
-            assert q["open_periods"] == 1
-
-            done = await client.pp_end(begun["pp_id"])
-            assert done.get("lost") is None
-            await client.close()
-            await reborn.abort()
-            assert reborn.service.sanitizer.ok
-
-        asyncio.run(scenario())
-
-
 class TestClusterFallback:
     """Redirect-following clients riding out shard deaths (satellite of
     the self-healing cluster work)."""

@@ -17,6 +17,7 @@ from repro.core.api import MB
 from repro.core.policy import StrictPolicy
 from repro.serve import protocol
 from repro.serve.client import ServeClient, ServeReplyError
+from repro.serve.cluster import start_local_cluster
 from repro.serve.protocol import ErrorCode
 from repro.serve.server import AdmissionServer, ServeConfig
 
@@ -145,12 +146,31 @@ class TestMalformedFrames:
 
         asyncio.run(scenario())
 
-    def test_oversized_frame_replies_then_disconnects(self, tmp_path):
+    @pytest.mark.parametrize("target", ["server", "forward"])
+    def test_oversized_frame_replies_then_disconnects(self, tmp_path, target):
+        """A bare server and a forwarding cluster front-end answer alike."""
         async def scenario():
-            server, sock, run_task = await start_server(
-                tmp_path, max_frame_bytes=1024
-            )
+            if target == "server":
+                server, sock, run_task = await start_server(
+                    tmp_path, max_frame_bytes=1024
+                )
+            else:
+                sock = str(tmp_path / "placer.sock")
+                cluster = await start_local_cluster(
+                    ServeConfig(
+                        policy=StrictPolicy(), machine=tiny_machine(4.0),
+                        sanitize=True, max_frame_bytes=1024,
+                    ),
+                    2, sock, supervise=False,
+                    cluster_overrides={"max_frame_bytes": 1024},
+                )
             reader, writer = await asyncio.open_unix_connection(sock)
+            # hello first: on the front-end it hands the socket to a pump
+            writer.write(protocol.encode_frame(
+                {"v": 1, "id": 1, "op": "hello", "client": "big"}
+            ))
+            await writer.drain()
+            assert protocol.decode_frame(await reader.readline())["ok"]
             writer.write(b'{"v": 1, "op": "query", "pad": "' + b"x" * 4096 + b'"}\n')
             await writer.drain()
             reply = protocol.decode_frame(await reader.readline())
@@ -158,7 +178,13 @@ class TestMalformedFrames:
             # the byte stream cannot be re-synchronized: server hangs up
             assert await reader.read() == b""
             writer.close()
-            await finish(server, run_task)
+            if target == "server":
+                await finish(server, run_task)
+            else:
+                cluster.request_drain()
+                assert await asyncio.wait_for(
+                    cluster.run_until_drained(), 20.0
+                ) == 0
 
         asyncio.run(scenario())
 
