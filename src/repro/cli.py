@@ -523,7 +523,7 @@ def _add_resilient_client_options(parser: argparse.ArgumentParser) -> None:
         "--breaker-reset", type=_positive_float, default=None,
         metavar="SECONDS",
         help="resilient clients: breaker reset window before the "
-        "half-open probe (default 1.0, or 0.2 under chaos --overload)",
+        "half-open probe (default 1.0, or 0.2 under chaos)",
     )
 
 
@@ -849,10 +849,7 @@ def _cmd_chaos(args) -> int:
     import json as json_mod
     import tempfile
 
-    from .serve.chaos import (
-        ChaosConfig, run_chaos_sync, run_cluster_chaos_sync,
-        run_overload_chaos_sync, run_rolling_chaos_sync,
-    )
+    from .serve.chaos import ChaosConfig, run_chaos_sync
 
     exclusive = [
         flag for flag in ("overload", "cluster", "rolling")
@@ -867,7 +864,12 @@ def _cmd_chaos(args) -> int:
     if args.supervise and not args.cluster:
         print("chaos: --supervise needs --cluster", file=sys.stderr)
         return 2
+    if args.cluster:
+        campaign = "supervised" if args.supervise else "shard-kill"
+    else:
+        campaign = exclusive[0] if exclusive else "kill"
     cfg = ChaosConfig(
+        campaign=campaign,
         seed=args.seed,
         duration_s=args.duration,
         clients=args.clients,
@@ -876,8 +878,7 @@ def _cmd_chaos(args) -> int:
         policy=args.policy,
         capacity_mb=args.capacity_mb,
         lease_ttl_s=args.lease_ttl,
-        shards=args.shards if (args.cluster or args.rolling) else 0,
-        supervise=args.supervise,
+        shards=args.shards,
         rolling_grace_s=args.rolling_grace,
         storm_rate=args.storm_rate,
         slowloris=args.slowloris,
@@ -888,20 +889,12 @@ def _cmd_chaos(args) -> int:
             args.breaker_reset if args.breaker_reset is not None else 0.2
         ),
     )
-    if args.overload:
-        campaign = run_overload_chaos_sync
-    elif args.rolling:
-        campaign = run_rolling_chaos_sync
-    elif args.cluster:
-        campaign = run_cluster_chaos_sync
-    else:
-        campaign = run_chaos_sync
     try:
         if args.workdir is not None:
-            report = campaign(cfg, args.workdir)
+            report = run_chaos_sync(cfg, args.workdir)
         else:
             with tempfile.TemporaryDirectory(prefix="repro-chaos-") as workdir:
-                report = campaign(cfg, workdir)
+                report = run_chaos_sync(cfg, workdir)
     except (ReproError, OSError) as exc:
         print(f"chaos: {exc}", file=sys.stderr)
         return 1

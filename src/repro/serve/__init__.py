@@ -25,10 +25,6 @@ from .chaos import (
     ChaosReport,
     run_chaos,
     run_chaos_sync,
-    run_cluster_chaos,
-    run_cluster_chaos_sync,
-    run_overload_chaos,
-    run_overload_chaos_sync,
 )
 from .client import ServeClient, ServeReplyError
 from .cluster import (
@@ -125,12 +121,8 @@ __all__ = [
     "replay_journal",
     "run_chaos",
     "run_chaos_sync",
-    "run_cluster_chaos",
-    "run_cluster_chaos_sync",
     "run_loadgen",
     "run_loadgen_sync",
-    "run_overload_chaos",
-    "run_overload_chaos_sync",
     "serve_until_drained",
     "start_local_cluster",
 ]

@@ -1,23 +1,27 @@
 """Chaos harness for the admission service: prove the fault layer works.
 
 The fault-tolerance claims of :mod:`repro.serve` — crash-safe journal,
-client leases, idempotent re-issue — are only as good as their worst
-recovery path, so this module attacks all of them at once:
+client leases, idempotent re-issue, shard supervision, overload shedding —
+are only as good as their worst recovery path, so this module attacks
+them with one campaign runner driven by a schedule table:
 
 * **Fault-injecting proxy.**  :class:`ChaosProxy` sits between clients and
   the server and mangles the NDJSON stream line by line with a seeded RNG:
   frames are dropped, delayed, duplicated, truncated mid-line (with the
   connection severed, the classic torn write) or the connection is severed
   outright.
-* **Kill-and-restart campaign.**  :func:`run_chaos` starts a real server
-  subprocess (``python -m repro serve --journal ... --sanitize``), drives
-  it with the resilient load generator *through* the proxy, SIGKILLs the
-  server on a timer, restarts it from the journal, and repeats.
+* **Campaign runner.**  :func:`run_chaos` looks up ``cfg.campaign`` in
+  :data:`SCHEDULES`.  Each row names a topology (one server behind the
+  proxy, one bare server, or N shards behind a placer front-end), a load
+  (closed resilient clients or an open-loop storm with slow consumers), a
+  fault (timed SIGKILLs or one rolling restart) and an extra verdict.
+  Every row boots real ``python -m repro serve --journal --sanitize``
+  subprocesses and runs the same settle, verdict and teardown.
 * **Verdict.**  After the load completes, the campaign waits for the
   system to settle (the lease reaper reclaims what dead clients left
   behind), then asserts the recovery contract: zero open periods, zero
-  admitted demand, a clean online sanitizer, and a zero exit code from the
-  drained server.  Any leaked byte of capacity fails the campaign.
+  admitted demand, a clean online sanitizer, and a zero exit code from
+  every drained server.  Any leaked byte of capacity fails the campaign.
 
 Entry point: ``python -m repro chaos``.
 """
@@ -32,46 +36,55 @@ import random
 import signal
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import ReproError, ServeError
 from .client import ServeClient
+from .cluster import ClusterConfig, ClusterFrontend
 from .loadgen import LoadgenConfig, LoadgenReport, fig4_scripts, run_loadgen
+from .placer import ShardAddress
 
 __all__ = [
     "FAULT_KINDS",
+    "SCHEDULES",
     "ChaosConfig",
     "ChaosProxy",
     "ChaosReport",
+    "Schedule",
     "ServerProcess",
     "run_chaos",
     "run_chaos_sync",
-    "run_cluster_chaos",
-    "run_cluster_chaos_sync",
-    "run_overload_chaos",
-    "run_overload_chaos_sync",
-    "run_rolling_chaos",
-    "run_rolling_chaos_sync",
 ]
 
 #: fault kinds the proxy can inject, in threshold order
 FAULT_KINDS = ("drop", "delay", "duplicate", "truncate", "sever")
+
+#: synthetic session shape: figure-4 single-period sessions of this demand
+DEMAND_MB = 2.0
+#: server journal fsync interval (0 = fsync every append)
+JOURNAL_FSYNC_S = 0.0
+#: how long recovery may take to reach quiescence after the load
+SETTLE_TIMEOUT_S = 15.0
+#: how long one server (re)start may take
+SERVER_START_TIMEOUT_S = 15.0
+#: the overload row's park deadline (also bounds its clients' begin wait)
+OVERLOAD_PARK_DEADLINE_S = 1.0
 
 
 @dataclass(frozen=True)
 class ChaosConfig:
     """One chaos campaign."""
 
+    #: row of :data:`SCHEDULES` to run
+    campaign: str = "kill"
     #: RNG seed for the proxy's fault schedule and the load
     seed: int = 0
     #: wall-clock budget for the load phase
     duration_s: float = 6.0
-    #: concurrent resilient clients
+    #: concurrent resilient clients (closed-loop rows)
     clients: int = 4
-    #: total sessions (None = bounded by duration only)
-    sessions: Optional[int] = None
-    #: SIGKILL/restart cycles to inflict during the load
+    #: SIGKILL cycles to inflict during the load
     kills: int = 2
     #: gap between kills (first kill fires this long after start)
     kill_interval_s: float = 1.5
@@ -82,49 +95,83 @@ class ChaosConfig:
     duplicate_rate: float = 0.01
     truncate_rate: float = 0.003
     sever_rate: float = 0.002
-    #: synthetic session shape (figure-4 single-period sessions)
-    demand_mb: float = 2.0
-    hold_s: float = 0.01
     #: server shape
     policy: str = "strict"
     capacity_mb: float = 8.0
     lease_ttl_s: float = 1.5
     lease_check_s: float = 0.1
     park_timeout_s: float = 2.0
-    journal_fsync_s: float = 0.0
-    #: how long recovery may take to reach quiescence after the load
-    settle_timeout_s: float = 15.0
-    #: how long one server (re)start may take
-    server_start_timeout_s: float = 15.0
-    #: cluster campaign: admission shards behind a placer front-end
-    #: (0 = classic single-server campaign)
-    shards: int = 0
-    #: cluster campaign: let the front-end's shard supervisor restart
-    #: killed shards (the campaign itself stops restarting them)
-    supervise: bool = False
-    #: rolling campaign: per-shard grace for running periods
+    #: cluster rows: admission shards behind a placer front-end
+    shards: int = 3
+    #: rolling row: per-shard grace for running periods
     rolling_grace_s: float = 3.0
-    #: overload campaign: server-side overload knobs, passed to ``serve``
-    #: only when set — the classic campaigns add no extra flags, and
-    #: :func:`run_overload_chaos` fills in tight defaults for unset ones
-    max_pending: Optional[int] = None
-    retry_hint_floor_s: Optional[float] = None
-    retry_hint_cap_s: Optional[float] = None
-    park_deadline_s: Optional[float] = None
-    max_pending_per_client: Optional[int] = None
-    write_timeout_s: Optional[float] = None
-    #: overload campaign: open-loop storm arrivals per second
+    #: overload row: open-loop storm arrivals per second
     storm_rate: float = 150.0
-    #: overload campaign: concurrent slow consumers that never read replies
+    #: overload row: concurrent slow consumers that never read replies
     slowloris: int = 2
-    #: overload campaign: admitted calls must keep p99 latency under this
+    #: overload row: admitted calls must keep p99 latency under this
     p99_bound_s: float = 5.0
-    #: overload campaign: storm clients' transport backoff ceiling
-    #: (None keeps the resilient client's own default)
+    #: resilient clients: transport backoff ceiling (None keeps the
+    #: client's own default) and circuit-breaker threshold/reset
     backoff_cap_s: Optional[float] = None
-    #: overload campaign: storm clients' circuit-breaker threshold/reset
     breaker_threshold: Optional[int] = None
     breaker_reset_s: float = 0.2
+
+
+@dataclass(frozen=True)
+class Schedule:
+    """One campaign: what runs, what breaks, and what else is judged."""
+
+    #: first words of :meth:`ChaosReport.describe`
+    header: str
+    #: "proxy" (one server behind :class:`ChaosProxy`), "bare" (one
+    #: server) or "cluster" (N shards behind a placer front-end)
+    topology: str
+    #: "closed" (resilient clients; redirect-following on a cluster) or
+    #: "storm" (open-loop arrivals plus slow consumers)
+    load: str
+    #: "kill" (timed SIGKILLs, round robin over the servers) or "roll"
+    #: (one rolling restart of every shard)
+    fault: str
+    #: the front-end's supervisor restarts shards (else the harness does)
+    supervised: bool = False
+    #: extra verdict in :data:`_EXTRA_VERDICTS` ("" = none)
+    verdict: str = ""
+    #: hold time of every scripted period
+    hold_s: float = 0.01
+    #: extra ``serve`` flags for every server of the campaign
+    serve_flags: Tuple[str, ...] = ()
+
+
+SCHEDULES: Dict[str, Schedule] = {
+    "kill": Schedule("chaos campaign", "proxy", "closed", "kill"),
+    "shard-kill": Schedule(
+        "cluster chaos campaign", "cluster", "closed", "kill"
+    ),
+    "supervised": Schedule(
+        "supervised cluster campaign", "cluster", "closed", "kill",
+        supervised=True, verdict="supervised",
+    ),
+    "rolling": Schedule(
+        "rolling restart campaign", "cluster", "closed", "roll",
+        supervised=True, verdict="rolling",
+    ),
+    # Every overload defense armed tight so the storm trips each one
+    # within a short campaign.  150 ms holds put 150 arrivals/s of 2 MB at
+    # ~5-6x an 8 MB machine's capacity; at 10 ms nothing would shed.
+    "overload": Schedule(
+        "overload campaign", "bare", "storm", "kill", verdict="overload",
+        hold_s=0.15,
+        serve_flags=(
+            "--max-pending", "16",
+            "--retry-hint-floor", "0.05",
+            "--retry-hint-cap", "2.0",
+            "--park-deadline", str(OVERLOAD_PARK_DEADLINE_S),
+            "--max-pending-per-client", "2",
+            "--write-timeout", "1.0",
+        ),
+    ),
+}
 
 
 class ChaosProxy:
@@ -286,33 +333,20 @@ class ServerProcess:
         self._drain_task: Optional[asyncio.Task] = None
 
     def _argv(self) -> List[str]:
-        argv = [
+        return [
             sys.executable, "-m", "repro", "serve",
             "--socket", self.socket_path,
             "--policy", self.cfg.policy,
             "--capacity-mb", str(self.cfg.capacity_mb),
             "--journal", self.journal_path,
-            "--journal-fsync", str(self.cfg.journal_fsync_s),
+            "--journal-fsync", str(JOURNAL_FSYNC_S),
             "--lease-ttl", str(self.cfg.lease_ttl_s),
             "--lease-check", str(self.cfg.lease_check_s),
             "--park-timeout", str(self.cfg.park_timeout_s),
             "--drain-grace", "3.0",
             "--sanitize",
+            *SCHEDULES[self.cfg.campaign].serve_flags,
         ]
-        # Overload knobs ride along only when a campaign sets them, so the
-        # classic campaigns keep their exact historical command line.
-        optional = (
-            ("--max-pending", self.cfg.max_pending),
-            ("--retry-hint-floor", self.cfg.retry_hint_floor_s),
-            ("--retry-hint-cap", self.cfg.retry_hint_cap_s),
-            ("--park-deadline", self.cfg.park_deadline_s),
-            ("--max-pending-per-client", self.cfg.max_pending_per_client),
-            ("--write-timeout", self.cfg.write_timeout_s),
-        )
-        for flag, value in optional:
-            if value is not None:
-                argv += [flag, str(value)]
-        return argv
 
     async def start(self) -> None:
         env = dict(os.environ)
@@ -344,7 +378,7 @@ class ServerProcess:
 
     async def _wait_ready(self) -> None:
         assert self.proc is not None
-        deadline = time.monotonic() + self.cfg.server_start_timeout_s
+        deadline = time.monotonic() + SERVER_START_TIMEOUT_S
         while time.monotonic() < deadline:
             if self.proc.returncode is not None:
                 raise ServeError(
@@ -365,7 +399,7 @@ class ServerProcess:
                     pass
             await asyncio.sleep(0.05)
         raise ServeError(
-            f"server not ready within {self.cfg.server_start_timeout_s} s"
+            f"server not ready within {SERVER_START_TIMEOUT_S} s"
         )
 
     def kill(self) -> None:
@@ -385,6 +419,50 @@ class ServerProcess:
                 await self._drain_task
             self._drain_task = None
         return code
+
+
+
+def _supervised_ok(r: "ChaosReport") -> bool:
+    # Self-healing contract: every kill was healed by the supervisor
+    # (capacity recovered to N shards alive) and nothing got stuck in
+    # quarantine.
+    return (
+        r.shard_restarts > 0
+        and r.shards_alive_final == r.shards
+        and r.shards_quarantined == 0
+    )
+
+
+def _rolling_ok(r: "ChaosReport") -> bool:
+    # Rolling-restart contract: every shard completed its drain+restart
+    # cycle and no admitted period was lost.
+    return (
+        r.rolled_shards == r.shards
+        and r.shards_alive_final == r.shards
+        and r.load.lost_periods == 0
+    )
+
+
+def _overload_ok(r: "ChaosReport") -> bool:
+    # Degradation contract: admitted calls stay fast, every shed reply
+    # carries a retry hint, and dead slow consumers' leases are reclaimed
+    # (no leaked clients).
+    return (
+        r.load.sheds_without_hint == 0
+        and r.final_clients == 0
+        and r.load.admission_latency.count > 0
+        and r.p99_observed_s is not None
+        and r.p99_observed_s <= r.p99_bound_s
+    )
+
+
+#: verdict extensions a schedule row can name, on top of the base contract
+_EXTRA_VERDICTS = {
+    "": lambda r: True,
+    "supervised": _supervised_ok,
+    "rolling": _rolling_ok,
+    "overload": _overload_ok,
+}
 
 
 @dataclass
@@ -407,69 +485,41 @@ class ChaosReport:
     sanitizer_ok: Optional[bool]
     server_exit_code: Optional[int]
     server_output: List[str] = field(default_factory=list)
-    #: cluster campaigns: shard count and front-end counters (else 0/empty)
+    #: row of :data:`SCHEDULES` that ran
+    campaign: str = "kill"
+    #: cluster rows: shard count and front-end counters (else 0/empty)
     shards: int = 0
     cluster_counters: Dict[str, int] = field(default_factory=dict)
-    #: supervised campaigns: restarts performed by the shard supervisor
-    supervised: bool = False
+    #: restarts performed by the front-end (supervised and rolling rows)
     shard_restarts: int = 0
     shards_alive_final: int = 0
     shards_quarantined: int = 0
-    #: rolling campaigns: shards that completed a drain+restart cycle
-    rolling: bool = False
+    #: rolling row: shards that completed a drain+restart cycle
     rolled_shards: int = 0
-    #: overload campaigns: extra verdict inputs (inert for the others)
-    overload: bool = False
-    p99_bound_s: Optional[float] = None
+    p99_bound_s: float = 5.0
     p99_observed_s: Optional[float] = None
+    #: storm rows: slow consumers and how often the server cut them off
     slowloris_clients: int = 0
     slowloris_disconnects: int = 0
+    #: client leases still held when the settle ended
     final_clients: int = 0
+
+    @property
+    def schedule(self) -> Schedule:
+        return SCHEDULES[self.campaign]
 
     @property
     def ok(self) -> bool:
         """The recovery contract: quiescent, conserved, clean exit."""
-        verdict = (
+        return (
             self.settled
             and self.final_open_periods == 0
             and self.final_usage_bytes == 0
             and self.final_waiting == 0
             and self.sanitizer_ok is not False
             and self.server_exit_code == 0
+            and _EXTRA_VERDICTS[self.schedule.verdict](self)
         )
-        if self.supervised:
-            # Self-healing contract: every kill was healed by the
-            # supervisor (capacity recovered to N shards alive) and
-            # nothing got stuck in quarantine.
-            verdict = (
-                verdict
-                and self.shard_restarts > 0
-                and self.shards_alive_final == self.shards
-                and self.shards_quarantined == 0
-            )
-        if self.rolling:
-            # Rolling-restart contract: every shard completed its
-            # drain+restart cycle and no admitted period was lost.
-            verdict = (
-                verdict
-                and self.rolled_shards == self.shards
-                and self.shards_alive_final == self.shards
-                and self.load.lost_periods == 0
-            )
-        if self.overload:
-            # Degradation contract: admitted calls stay fast, every shed
-            # reply carries a retry hint, and dead slow consumers' leases
-            # are reclaimed (no leaked clients).
-            verdict = (
-                verdict
-                and self.load.sheds_without_hint == 0
-                and self.final_clients == 0
-                and self.load.admission_latency.count > 0
-                and self.p99_bound_s is not None
-                and self.p99_observed_s is not None
-                and self.p99_observed_s <= self.p99_bound_s
-            )
-        return verdict
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -488,15 +538,16 @@ class ChaosReport:
             "final_waiting": self.final_waiting,
             "sanitizer_ok": self.sanitizer_ok,
             "server_exit_code": self.server_exit_code,
+            "campaign": self.campaign,
             "shards": self.shards,
             "cluster_counters": dict(self.cluster_counters),
-            "supervised": self.supervised,
+            "supervised": self.campaign == "supervised",
             "shard_restarts": self.shard_restarts,
             "shards_alive_final": self.shards_alive_final,
             "shards_quarantined": self.shards_quarantined,
-            "rolling": self.rolling,
+            "rolling": self.campaign == "rolling",
             "rolled_shards": self.rolled_shards,
-            "overload": self.overload,
+            "overload": self.campaign == "overload",
             "p99_bound_s": self.p99_bound_s,
             "p99_observed_s": self.p99_observed_s,
             "slowloris_clients": self.slowloris_clients,
@@ -509,19 +560,11 @@ class ChaosReport:
         fault_bits = ", ".join(
             f"{self.faults[k]} {k}" for k in FAULT_KINDS if self.faults[k]
         )
-        shape = (
-            f"rolling restart campaign ({self.shards} shard(s), "
-            if self.rolling
-            else f"supervised cluster campaign ({self.shards} shard(s), "
-            if self.supervised
-            else f"cluster chaos campaign ({self.shards} shard(s), "
-            if self.shards
-            else "overload campaign ("
-            if self.overload
-            else "chaos campaign ("
-        )
+        verdict = self.schedule.verdict
         lines = [
-            f"{shape}seed {self.seed}): {self.wall_s:.2f} s wall, "
+            f"{self.schedule.header} ("
+            + (f"{self.shards} shard(s), " if self.shards else "")
+            + f"seed {self.seed}): {self.wall_s:.2f} s wall, "
             f"{self.kills} kill(s), {self.faults_total} fault(s) injected"
             + (f" ({fault_bits})" if fault_bits else ""),
             f"  load: {self.load.admitted}/{self.load.calls} admitted, "
@@ -548,30 +591,26 @@ class ChaosReport:
                     f"{v} {k}" for k, v in sorted(self.cluster_counters.items())
                 )
             )
-        if self.supervised or self.rolling:
-            bits = [
-                f"{self.shard_restarts} supervised restart(s)",
-                f"{self.shards_alive_final}/{self.shards} shard(s) alive",
-                f"{self.shards_quarantined} quarantined",
-            ]
-            if self.rolling:
-                bits.append(
-                    f"{self.rolled_shards}/{self.shards} rolled"
+        if verdict in ("supervised", "rolling"):
+            lines.append(
+                f"  lifecycle: {self.shard_restarts} supervised restart(s), "
+                f"{self.shards_alive_final}/{self.shards} shard(s) alive, "
+                f"{self.shards_quarantined} quarantined"
+                + (
+                    f", {self.rolled_shards}/{self.shards} rolled"
+                    if verdict == "rolling" else ""
                 )
-            lines.append("  lifecycle: " + ", ".join(bits))
-        if self.overload:
+            )
+        if verdict == "overload":
             p99 = (
                 f"{self.p99_observed_s * 1e3:.1f} ms"
                 if self.p99_observed_s is not None
                 and self.p99_observed_s == self.p99_observed_s
                 else "n/a"
             )
-            bound = (
-                f"{self.p99_bound_s * 1e3:.0f} ms"
-                if self.p99_bound_s is not None else "n/a"
-            )
             lines.append(
-                f"  overload: admitted p99 {p99} (bound {bound}), "
+                f"  overload: admitted p99 {p99} "
+                f"(bound {self.p99_bound_s * 1e3:.0f} ms), "
                 f"{self.load.shed_calls} call(s) shed "
                 f"({self.load.sheds_without_hint} missing a retry hint), "
                 f"{self.slowloris_disconnects}/{self.slowloris_clients} "
@@ -583,144 +622,7 @@ class ChaosReport:
 
 
 # ----------------------------------------------------------------------
-async def run_chaos(cfg: ChaosConfig, workdir: str) -> ChaosReport:
-    """One full campaign: serve, mangle, kill, restart, settle, judge."""
-    os.makedirs(workdir, exist_ok=True)
-    backend_path = os.path.join(workdir, "chaos-server.sock")
-    front_path = os.path.join(workdir, "chaos-proxy.sock")
-    journal_path = os.path.join(workdir, "chaos-journal.ndjson")
-
-    t_start = time.monotonic()
-    server = ServerProcess(backend_path, journal_path, cfg)
-    await server.start()
-    proxy = ChaosProxy(
-        front_path, backend_path, cfg, rng=random.Random(cfg.seed ^ 0x5EED)
-    )
-    await proxy.start()
-
-    load_cfg = LoadgenConfig(
-        mode="closed",
-        clients=cfg.clients,
-        sessions=cfg.sessions,
-        duration_s=cfg.duration_s,
-        time_scale=1.0,
-        max_hold_s=max(cfg.hold_s, 0.25),
-        max_retries=100_000,
-        resilient=True,
-        call_timeout_s=2.0,
-        # past the server's park timeout, silence on pp_begin means a
-        # dropped frame, not a parked period — reconnect and re-issue
-        begin_timeout_s=cfg.park_timeout_s + 2.0,
-        seed=cfg.seed,
-    )
-    scripts = fig4_scripts(
-        n=max(8, cfg.clients * 2), demand_mb=cfg.demand_mb, hold_s=cfg.hold_s
-    )
-    load_task = asyncio.ensure_future(
-        run_loadgen(scripts, load_cfg, unix_path=front_path)
-    )
-
-    kills = 0
-    try:
-        for _ in range(cfg.kills):
-            await asyncio.sleep(cfg.kill_interval_s)
-            if load_task.done():
-                break
-            server.kill()
-            await server.wait()
-            kills += 1
-            # Connections through the proxy are stranded on a dead
-            # backend; hard-drop them so clients reconnect promptly.
-            proxy.sever_all()
-            await server.start()
-        load = await load_task
-    except BaseException:
-        load_task.cancel()
-        with contextlib.suppress(BaseException):
-            await load_task
-        with contextlib.suppress(Exception):
-            await proxy.close()
-        raise
-
-    # ------------------------------------------------------------------
-    # settle: the lease reaper reclaims what dead clients left behind
-    # ------------------------------------------------------------------
-    settled = False
-    settle_t0 = time.monotonic()
-    final_open = final_usage = final_waiting = -1
-    sanitizer_ok: Optional[bool] = None
-    replayed = 0
-    probe = await ServeClient.connect(unix_path=backend_path, timeout=5.0)
-    try:
-        deadline = settle_t0 + cfg.settle_timeout_s
-        while time.monotonic() < deadline:
-            try:
-                q = await probe.query(timeout=10.0)
-            except asyncio.TimeoutError:
-                # a timed-out round trip leaves the connection
-                # desynchronized — reconnect and keep settling
-                await probe.close()
-                probe = await ServeClient.connect(
-                    unix_path=backend_path, timeout=5.0
-                )
-                continue
-            final_open = int(q.get("open_periods", -1))
-            final_waiting = int(q.get("waiting", -1))
-            final_usage = sum(
-                int(state.get("usage_bytes", 0))
-                for state in q.get("resources", {}).values()
-            )
-            replayed = int((q.get("journal") or {}).get("replayed_periods", 0))
-            if final_open == 0 and final_usage == 0 and final_waiting == 0:
-                settled = True
-                break
-            await asyncio.sleep(0.1)
-        with contextlib.suppress(asyncio.TimeoutError):
-            stats = await probe.stats(timeout=10.0)
-            sanitizer = stats.get("sanitizer")
-            if sanitizer is not None:
-                sanitizer_ok = bool(sanitizer.get("ok"))
-            await probe.drain(timeout=10.0)
-    finally:
-        await probe.close()
-    settle_s = time.monotonic() - settle_t0
-
-    exit_code: Optional[int] = None
-    with contextlib.suppress(asyncio.TimeoutError):
-        exit_code = await server.wait(timeout_s=10.0)
-    if exit_code is None:
-        server.kill()
-        with contextlib.suppress(asyncio.TimeoutError):
-            await server.wait(timeout_s=5.0)
-    await proxy.close()
-
-    return ChaosReport(
-        seed=cfg.seed,
-        wall_s=time.monotonic() - t_start,
-        kills=kills,
-        faults=dict(proxy.faults),
-        faults_total=proxy.faults_total,
-        proxy_connections=proxy.connections,
-        load=load,
-        replayed_periods_last_boot=replayed,
-        settled=settled,
-        settle_s=settle_s,
-        final_open_periods=final_open,
-        final_usage_bytes=final_usage,
-        final_waiting=final_waiting,
-        sanitizer_ok=sanitizer_ok,
-        server_exit_code=exit_code,
-        server_output=list(server.output),
-    )
-
-
-def run_chaos_sync(cfg: ChaosConfig, workdir: str) -> ChaosReport:
-    """Blocking wrapper around :func:`run_chaos` (CLI entry point)."""
-    return asyncio.run(run_chaos(cfg, workdir))
-
-
-# ----------------------------------------------------------------------
-# cluster campaign
+# actors: the supervisor's restart hook and the slow consumer
 # ----------------------------------------------------------------------
 def _subprocess_restarter(shard: ServerProcess):
     """Restart hook handed to the front-end's shard supervisor: reap the
@@ -741,471 +643,6 @@ def _subprocess_restarter(shard: ServerProcess):
     return restart
 
 
-async def run_cluster_chaos(cfg: ChaosConfig, workdir: str) -> ChaosReport:
-    """Kill individual shards behind a placer front-end, then judge.
-
-    The fault model differs from the single-server campaign: instead of a
-    frame-mangling proxy, the injected fault is *shard death* — each cycle
-    SIGKILLs one shard (round robin), which strands that shard's clients
-    mid-protocol.  The contract under test is the cluster fault path: the
-    front-end's health loop marks the shard dead, stranded clients fall
-    back to the front-end and are re-placed on live shards, and the killed
-    shard restarts from its own journal.  Settling requires *every* shard
-    to quiesce to zero open periods, zero charged bytes and zero waiters.
-    """
-    from .cluster import ClusterConfig, ClusterFrontend
-    from .placer import ShardAddress
-
-    n_shards = max(1, cfg.shards or 3)
-    os.makedirs(workdir, exist_ok=True)
-    placer_path = os.path.join(workdir, "placer.sock")
-
-    t_start = time.monotonic()
-    shards: List[ServerProcess] = []
-    addresses: List[ShardAddress] = []
-    for i in range(n_shards):
-        socket_path = os.path.join(workdir, f"shard{i}.sock")
-        journal_path = os.path.join(workdir, f"shard{i}-journal.ndjson")
-        shard = ServerProcess(socket_path, journal_path, cfg)
-        await shard.start()
-        shards.append(shard)
-        addresses.append(ShardAddress(name=f"shard{i}", unix_path=socket_path))
-
-    frontend = ClusterFrontend(ClusterConfig(
-        shards=tuple(addresses),
-        seed=cfg.seed,
-        health_interval_s=0.1,
-        probe_timeout_s=2.0,
-        # deliberate SIGKILLs are not crash loops: never quarantine a
-        # shard for dying on schedule
-        crash_loop_window_s=0.0,
-        restart_backoff_s=0.1,
-        restart_ready_timeout_s=cfg.server_start_timeout_s,
-    ))
-    await frontend.start(unix_path=placer_path)
-    if cfg.supervise:
-        for shard, address in zip(shards, addresses):
-            frontend.register_restarter(
-                address.name, _subprocess_restarter(shard)
-            )
-    frontend_task = asyncio.ensure_future(frontend.run_until_drained())
-
-    load_cfg = LoadgenConfig(
-        mode="closed",
-        clients=cfg.clients,
-        sessions=cfg.sessions,
-        duration_s=cfg.duration_s,
-        time_scale=1.0,
-        max_hold_s=max(cfg.hold_s, 0.25),
-        max_retries=100_000,
-        cluster=True,
-        call_timeout_s=2.0,
-        begin_timeout_s=cfg.park_timeout_s + 2.0,
-        seed=cfg.seed,
-    )
-    scripts = fig4_scripts(
-        n=max(8, cfg.clients * 2), demand_mb=cfg.demand_mb, hold_s=cfg.hold_s
-    )
-    load_task = asyncio.ensure_future(
-        run_loadgen(scripts, load_cfg, unix_path=placer_path)
-    )
-
-    kills = 0
-    try:
-        for cycle in range(cfg.kills):
-            await asyncio.sleep(cfg.kill_interval_s)
-            if load_task.done():
-                break
-            victim_idx = cycle % n_shards
-            if cfg.supervise:
-                # Pick a victim the supervisor has already healed — a
-                # still-dead shard yields no new kill to supervise.
-                for offset in range(n_shards):
-                    idx = (cycle + offset) % n_shards
-                    if frontend.placer.shards[f"shard{idx}"].alive:
-                        victim_idx = idx
-                        break
-                else:
-                    continue
-            victim = shards[victim_idx]
-            victim.kill()
-            await victim.wait()
-            kills += 1
-            if not cfg.supervise:
-                await victim.start()
-        load = await load_task
-    except BaseException:
-        load_task.cancel()
-        with contextlib.suppress(BaseException):
-            await load_task
-        frontend.request_drain()
-        with contextlib.suppress(BaseException):
-            await frontend_task
-        for shard in shards:
-            shard.kill()
-            with contextlib.suppress(Exception):
-                await shard.wait(timeout_s=5.0)
-        raise
-
-    # ------------------------------------------------------------------
-    # settle: every shard must quiesce once the load's leases expire
-    # ------------------------------------------------------------------
-    settled = False
-    settle_t0 = time.monotonic()
-    final_open = final_usage = final_waiting = -1
-    sanitizer_ok: Optional[bool] = None
-    replayed = 0
-    deadline = settle_t0 + cfg.settle_timeout_s
-
-    async def probe_shard(shard: ServerProcess) -> Dict[str, Any]:
-        probe = await ServeClient.connect(
-            unix_path=shard.socket_path, timeout=5.0
-        )
-        try:
-            return await probe.query(timeout=10.0)
-        finally:
-            await probe.close()
-
-    while time.monotonic() < deadline:
-        final_open = final_usage = final_waiting = 0
-        replayed = 0
-        try:
-            for shard in shards:
-                q = await probe_shard(shard)
-                final_open += int(q.get("open_periods", 0))
-                final_waiting += int(q.get("waiting", 0))
-                final_usage += sum(
-                    int(state.get("usage_bytes", 0))
-                    for state in q.get("resources", {}).values()
-                )
-                replayed += int(
-                    (q.get("journal") or {}).get("replayed_periods", 0)
-                )
-        except (ReproError, OSError, asyncio.TimeoutError):
-            await asyncio.sleep(0.1)
-            continue
-        if final_open == 0 and final_usage == 0 and final_waiting == 0:
-            settled = True
-            break
-        await asyncio.sleep(0.1)
-    settle_s = time.monotonic() - settle_t0
-
-    # capacity-recovery verdict inputs, read *before* the shutdown drain
-    # below tears the shards down
-    await frontend._health_sweep()
-    shards_alive_final = len(frontend.placer.alive_shards())
-    shards_quarantined = len(frontend.quarantined)
-
-    # from here on every shard death is deliberate: stop the supervisor
-    # before it resurrects what the teardown drains
-    await frontend.disarm_supervision()
-
-    # drain every shard, then the front-end, and collect verdicts
-    exit_worst: Optional[int] = 0
-    for shard in shards:
-        try:
-            probe = await ServeClient.connect(
-                unix_path=shard.socket_path, timeout=5.0
-            )
-            try:
-                stats = await probe.stats(timeout=10.0)
-                sanitizer = stats.get("sanitizer")
-                if sanitizer is not None:
-                    shard_ok = bool(sanitizer.get("ok"))
-                    sanitizer_ok = (
-                        shard_ok if sanitizer_ok is None
-                        else sanitizer_ok and shard_ok
-                    )
-                await probe.drain(timeout=10.0)
-            finally:
-                await probe.close()
-        except (ReproError, OSError, asyncio.TimeoutError):
-            exit_worst = 1
-    for shard in shards:
-        code: Optional[int] = None
-        with contextlib.suppress(asyncio.TimeoutError):
-            code = await shard.wait(timeout_s=10.0)
-        if code is None:
-            shard.kill()
-            with contextlib.suppress(asyncio.TimeoutError):
-                await shard.wait(timeout_s=5.0)
-        if code != 0 and exit_worst == 0:
-            exit_worst = code if code is not None else 1
-    cluster_counters = {
-        name: counter.value
-        for name, counter in (
-            ("placements", frontend.c_placements),
-            ("redirects", frontend.c_redirects),
-            ("forwards", frontend.c_forwards),
-            ("migrations", frontend.c_migrations),
-            ("migration_failures", frontend.c_migration_failures),
-            ("shard_restarts", frontend.c_shard_restarts),
-            ("rebalance_migrations", frontend.c_rebalances),
-        )
-    }
-    shard_restarts = frontend.c_shard_restarts.value
-    frontend.request_drain()
-    with contextlib.suppress(BaseException):
-        await frontend_task
-
-    output: List[str] = []
-    for i, shard in enumerate(shards):
-        output.extend(f"[shard{i}] {line}" for line in shard.output)
-
-    return ChaosReport(
-        seed=cfg.seed,
-        wall_s=time.monotonic() - t_start,
-        kills=kills,
-        faults={kind: 0 for kind in FAULT_KINDS},
-        faults_total=0,
-        proxy_connections=0,
-        load=load,
-        replayed_periods_last_boot=replayed,
-        settled=settled,
-        settle_s=settle_s,
-        final_open_periods=final_open,
-        final_usage_bytes=final_usage,
-        final_waiting=final_waiting,
-        sanitizer_ok=sanitizer_ok,
-        server_exit_code=exit_worst,
-        server_output=output,
-        shards=n_shards,
-        cluster_counters=cluster_counters,
-        supervised=cfg.supervise,
-        shard_restarts=shard_restarts,
-        shards_alive_final=shards_alive_final,
-        shards_quarantined=shards_quarantined,
-    )
-
-
-def run_cluster_chaos_sync(cfg: ChaosConfig, workdir: str) -> ChaosReport:
-    """Blocking wrapper around :func:`run_cluster_chaos` (CLI entry)."""
-    return asyncio.run(run_cluster_chaos(cfg, workdir))
-
-
-# ----------------------------------------------------------------------
-# rolling restart campaign
-# ----------------------------------------------------------------------
-async def run_rolling_chaos(cfg: ChaosConfig, workdir: str) -> ChaosReport:
-    """A full rolling restart under live load, losing nothing.
-
-    N subprocess shards behind a placer front-end, resilient clients
-    driving load throughout; after a warm-up the front-end drains,
-    restarts and rejoins every shard one at a time.  The verdict demands
-    every shard completed its cycle, capacity recovered to N shards
-    alive, zero admitted periods were lost, and the settled cluster is
-    as quiescent as after any other campaign.
-    """
-    from .cluster import ClusterConfig, ClusterFrontend
-    from .placer import ShardAddress
-
-    n_shards = max(1, cfg.shards or 3)
-    os.makedirs(workdir, exist_ok=True)
-    placer_path = os.path.join(workdir, "placer.sock")
-
-    t_start = time.monotonic()
-    shards: List[ServerProcess] = []
-    addresses: List[ShardAddress] = []
-    for i in range(n_shards):
-        socket_path = os.path.join(workdir, f"shard{i}.sock")
-        journal_path = os.path.join(workdir, f"shard{i}-journal.ndjson")
-        shard = ServerProcess(socket_path, journal_path, cfg)
-        await shard.start()
-        shards.append(shard)
-        addresses.append(ShardAddress(name=f"shard{i}", unix_path=socket_path))
-
-    frontend = ClusterFrontend(ClusterConfig(
-        shards=tuple(addresses),
-        seed=cfg.seed,
-        health_interval_s=0.1,
-        probe_timeout_s=2.0,
-        crash_loop_window_s=0.0,
-        restart_backoff_s=0.1,
-        restart_ready_timeout_s=cfg.server_start_timeout_s,
-        shard_drain_grace_s=cfg.rolling_grace_s,
-    ))
-    await frontend.start(unix_path=placer_path)
-    for shard, address in zip(shards, addresses):
-        frontend.register_restarter(address.name, _subprocess_restarter(shard))
-    frontend_task = asyncio.ensure_future(frontend.run_until_drained())
-
-    load_cfg = LoadgenConfig(
-        mode="closed",
-        clients=cfg.clients,
-        sessions=cfg.sessions,
-        duration_s=cfg.duration_s,
-        time_scale=1.0,
-        max_hold_s=max(cfg.hold_s, 0.25),
-        max_retries=100_000,
-        cluster=True,
-        call_timeout_s=2.0,
-        begin_timeout_s=cfg.park_timeout_s + 2.0,
-        seed=cfg.seed,
-    )
-    scripts = fig4_scripts(
-        n=max(8, cfg.clients * 2), demand_mb=cfg.demand_mb, hold_s=cfg.hold_s
-    )
-    load_task = asyncio.ensure_future(
-        run_loadgen(scripts, load_cfg, unix_path=placer_path)
-    )
-
-    rolled = 0
-    try:
-        # warm up: let the load establish leases and admitted periods
-        await asyncio.sleep(min(cfg.kill_interval_s, cfg.duration_s / 4))
-        results = await frontend.rolling_restart(grace_s=cfg.rolling_grace_s)
-        rolled = sum(1 for ok in results.values() if ok)
-        load = await load_task
-    except BaseException:
-        load_task.cancel()
-        with contextlib.suppress(BaseException):
-            await load_task
-        frontend.request_drain()
-        with contextlib.suppress(BaseException):
-            await frontend_task
-        for shard in shards:
-            shard.kill()
-            with contextlib.suppress(Exception):
-                await shard.wait(timeout_s=5.0)
-        raise
-
-    # ------------------------------------------------------------------
-    # settle: every shard must quiesce once the load's leases expire
-    # ------------------------------------------------------------------
-    settled = False
-    settle_t0 = time.monotonic()
-    final_open = final_usage = final_waiting = -1
-    sanitizer_ok: Optional[bool] = None
-    replayed = 0
-    deadline = settle_t0 + cfg.settle_timeout_s
-
-    async def probe_shard(shard: ServerProcess) -> Dict[str, Any]:
-        probe = await ServeClient.connect(
-            unix_path=shard.socket_path, timeout=5.0
-        )
-        try:
-            return await probe.query(timeout=10.0)
-        finally:
-            await probe.close()
-
-    while time.monotonic() < deadline:
-        final_open = final_usage = final_waiting = 0
-        replayed = 0
-        try:
-            for shard in shards:
-                q = await probe_shard(shard)
-                final_open += int(q.get("open_periods", 0))
-                final_waiting += int(q.get("waiting", 0))
-                final_usage += sum(
-                    int(state.get("usage_bytes", 0))
-                    for state in q.get("resources", {}).values()
-                )
-                replayed += int(
-                    (q.get("journal") or {}).get("replayed_periods", 0)
-                )
-        except (ReproError, OSError, asyncio.TimeoutError):
-            await asyncio.sleep(0.1)
-            continue
-        if final_open == 0 and final_usage == 0 and final_waiting == 0:
-            settled = True
-            break
-        await asyncio.sleep(0.1)
-    settle_s = time.monotonic() - settle_t0
-
-    await frontend._health_sweep()
-    shards_alive_final = len(frontend.placer.alive_shards())
-    shards_quarantined = len(frontend.quarantined)
-
-    # planned teardown from here: the supervisor must not resurrect the
-    # shards the shutdown drain takes down
-    await frontend.disarm_supervision()
-
-    exit_worst: Optional[int] = 0
-    for shard in shards:
-        try:
-            probe = await ServeClient.connect(
-                unix_path=shard.socket_path, timeout=5.0
-            )
-            try:
-                stats = await probe.stats(timeout=10.0)
-                sanitizer = stats.get("sanitizer")
-                if sanitizer is not None:
-                    shard_ok = bool(sanitizer.get("ok"))
-                    sanitizer_ok = (
-                        shard_ok if sanitizer_ok is None
-                        else sanitizer_ok and shard_ok
-                    )
-                await probe.drain(timeout=10.0)
-            finally:
-                await probe.close()
-        except (ReproError, OSError, asyncio.TimeoutError):
-            exit_worst = 1
-    for shard in shards:
-        code: Optional[int] = None
-        with contextlib.suppress(asyncio.TimeoutError):
-            code = await shard.wait(timeout_s=10.0)
-        if code is None:
-            shard.kill()
-            with contextlib.suppress(asyncio.TimeoutError):
-                await shard.wait(timeout_s=5.0)
-        if code != 0 and exit_worst == 0:
-            exit_worst = code if code is not None else 1
-    cluster_counters = {
-        name: counter.value
-        for name, counter in (
-            ("placements", frontend.c_placements),
-            ("redirects", frontend.c_redirects),
-            ("forwards", frontend.c_forwards),
-            ("migrations", frontend.c_migrations),
-            ("migration_failures", frontend.c_migration_failures),
-            ("shard_restarts", frontend.c_shard_restarts),
-            ("shard_drains", frontend.c_shard_drains),
-        )
-    }
-    shard_restarts = frontend.c_shard_restarts.value
-    frontend.request_drain()
-    with contextlib.suppress(BaseException):
-        await frontend_task
-
-    output: List[str] = []
-    for i, shard in enumerate(shards):
-        output.extend(f"[shard{i}] {line}" for line in shard.output)
-
-    return ChaosReport(
-        seed=cfg.seed,
-        wall_s=time.monotonic() - t_start,
-        kills=0,
-        faults={kind: 0 for kind in FAULT_KINDS},
-        faults_total=0,
-        proxy_connections=0,
-        load=load,
-        replayed_periods_last_boot=replayed,
-        settled=settled,
-        settle_s=settle_s,
-        final_open_periods=final_open,
-        final_usage_bytes=final_usage,
-        final_waiting=final_waiting,
-        sanitizer_ok=sanitizer_ok,
-        server_exit_code=exit_worst,
-        server_output=output,
-        shards=n_shards,
-        cluster_counters=cluster_counters,
-        shard_restarts=shard_restarts,
-        shards_alive_final=shards_alive_final,
-        shards_quarantined=shards_quarantined,
-        rolling=True,
-        rolled_shards=rolled,
-    )
-
-
-def run_rolling_chaos_sync(cfg: ChaosConfig, workdir: str) -> ChaosReport:
-    """Blocking wrapper around :func:`run_rolling_chaos` (CLI entry)."""
-    return asyncio.run(run_rolling_chaos(cfg, workdir))
-
-
-# ----------------------------------------------------------------------
-# overload campaign
-# ----------------------------------------------------------------------
 async def _slowloris(
     socket_path: str, index: int, stop: asyncio.Event
 ) -> int:
@@ -1264,203 +701,339 @@ async def _slowloris(
     return disconnects
 
 
-async def run_overload_chaos(cfg: ChaosConfig, workdir: str) -> ChaosReport:
-    """Overload campaign: storm the server, starve it, kill it, judge it.
-
-    Three attacks run at once against one journal-backed server with the
-    overload defenses armed (any knob the caller left unset gets a tight
-    default):
-
-    * an **open-loop arrival storm** — Poisson arrivals at
-      ``storm_rate``/s that do not slow down when the server does, so the
-      pending queue saturates and the shedding paths (adaptive
-      RETRY_AFTER, per-client quotas, park deadlines) all fire;
-    * **slow consumers** — connections that write requests but never read
-      replies, exercising the bounded write budget and lease reclaim;
-    * the usual **SIGKILL/restart** cycles mid-storm.
-
-    The verdict extends the recovery contract: admitted calls must keep
-    p99 admission latency under ``p99_bound_s``, every shed reply must
-    carry a retry hint, and no client lease may survive the settle.
-    """
-    # Arm every unset overload knob with a deliberately tight default so
-    # the storm actually trips each defense within a short campaign.
-    cfg = replace(
-        cfg,
-        max_pending=16 if cfg.max_pending is None else cfg.max_pending,
-        retry_hint_floor_s=(
-            0.05 if cfg.retry_hint_floor_s is None else cfg.retry_hint_floor_s
-        ),
-        retry_hint_cap_s=(
-            2.0 if cfg.retry_hint_cap_s is None else cfg.retry_hint_cap_s
-        ),
-        park_deadline_s=(
-            1.0 if cfg.park_deadline_s is None else cfg.park_deadline_s
-        ),
-        max_pending_per_client=(
-            2 if cfg.max_pending_per_client is None
-            else cfg.max_pending_per_client
-        ),
-        write_timeout_s=(
-            1.0 if cfg.write_timeout_s is None else cfg.write_timeout_s
-        ),
-        # The storm must oversubscribe capacity or nothing sheds: at the
-        # classic campaign's 10 ms holds, 150 arrivals/s of 2 MB fits in
-        # an 8 MB machine with room to spare.  150 ms holds put offered
-        # load at ~5-6x capacity.
-        hold_s=max(cfg.hold_s, 0.15),
-    )
-    os.makedirs(workdir, exist_ok=True)
-    socket_path = os.path.join(workdir, "overload-server.sock")
-    journal_path = os.path.join(workdir, "overload-journal.ndjson")
-
-    t_start = time.monotonic()
-    server = ServerProcess(socket_path, journal_path, cfg)
-    await server.start()
-
-    slow_stop = asyncio.Event()
-    slow_tasks = [
-        asyncio.ensure_future(_slowloris(socket_path, i, slow_stop))
-        for i in range(cfg.slowloris)
-    ]
-
-    assert cfg.park_deadline_s is not None  # armed above
-    load_cfg = LoadgenConfig(
-        mode="open",
+# ----------------------------------------------------------------------
+# the campaign runner
+# ----------------------------------------------------------------------
+def _load_config(cfg: ChaosConfig, row: Schedule) -> LoadgenConfig:
+    storm = row.load == "storm"
+    return LoadgenConfig(
+        mode="open" if storm else "closed",
+        clients=cfg.clients,
         rate=cfg.storm_rate,
-        sessions=cfg.sessions,
         duration_s=cfg.duration_s,
         time_scale=1.0,
-        max_hold_s=max(cfg.hold_s, 0.05),
         # A storm client that keeps being shed gives up quickly — the
         # point is terminal shed accounting, not eventual admission.
-        max_retries=6,
-        resilient=True,
+        max_retries=6 if storm else 100_000,
+        resilient=row.topology != "cluster",
+        cluster=row.topology == "cluster",
         call_timeout_s=2.0,
-        begin_timeout_s=min(cfg.park_deadline_s, cfg.park_timeout_s) + 2.0,
+        # past the server's park timeout (or deadline), silence on
+        # pp_begin means a dropped frame, not a parked period — reconnect
+        # and re-issue
+        begin_timeout_s=(
+            min(OVERLOAD_PARK_DEADLINE_S, cfg.park_timeout_s) if storm
+            else cfg.park_timeout_s
+        ) + 2.0,
         client_backoff_cap_s=cfg.backoff_cap_s,
         breaker_threshold=cfg.breaker_threshold,
         breaker_reset_s=cfg.breaker_reset_s,
         seed=cfg.seed,
     )
-    scripts = fig4_scripts(
-        n=max(8, cfg.clients * 2), demand_mb=cfg.demand_mb, hold_s=cfg.hold_s
-    )
-    load_task = asyncio.ensure_future(
-        run_loadgen(scripts, load_cfg, unix_path=socket_path)
-    )
 
-    kills = 0
+
+async def _query(server: ServerProcess) -> Dict[str, Any]:
+    probe = await ServeClient.connect(
+        unix_path=server.socket_path, timeout=5.0
+    )
     try:
-        for _ in range(cfg.kills):
+        return await probe.query(timeout=10.0)
+    finally:
+        await probe.close()
+
+
+async def _settle(
+    servers: List[ServerProcess],
+    row: Schedule,
+    frontend: Optional[ClusterFrontend],
+) -> Tuple[bool, Dict[str, int]]:
+    """Poll every server until all are quiescent or the timeout passes.
+
+    A cluster has not settled while its front-end still counts a shard
+    dead: a supervised restart may be in flight after the load ends.
+
+    Returns whether they settled and the last complete sweep's totals
+    (-1 each if no sweep reached every server).
+    """
+    totals = dict.fromkeys(
+        ("open", "usage", "waiting", "clients", "replayed"), -1
+    )
+    deadline = time.monotonic() + SETTLE_TIMEOUT_S
+    while True:
+        try:
+            queries = [await _query(server) for server in servers]
+        except (ReproError, OSError, asyncio.TimeoutError):
+            queries = None
+        if queries is not None:
+            totals = {
+                "open": sum(int(q.get("open_periods", 0)) for q in queries),
+                "usage": sum(
+                    int(state.get("usage_bytes", 0))
+                    for q in queries
+                    for state in q.get("resources", {}).values()
+                ),
+                "waiting": sum(int(q.get("waiting", 0)) for q in queries),
+                "clients": sum(int(q.get("clients", 0)) for q in queries),
+                "replayed": sum(
+                    int((q.get("journal") or {}).get("replayed_periods", 0))
+                    for q in queries
+                ),
+            }
+            # Only the overload row waits out client leases: its slow
+            # consumers' leases must be reaped before the verdict.
+            keys = ["open", "usage", "waiting"]
+            if row.verdict == "overload":
+                keys.append("clients")
+            healed = frontend is None or (
+                len(frontend.placer.alive_shards()) == len(servers)
+            )
+            if healed and all(totals[key] == 0 for key in keys):
+                return True, totals
+        if time.monotonic() >= deadline:
+            return False, totals
+        await asyncio.sleep(0.1)
+
+
+async def _drain(
+    servers: List[ServerProcess],
+) -> Tuple[Optional[bool], int]:
+    """Collect every sanitizer, drain every server, reap the exits.
+
+    Returns the combined sanitizer verdict (None if no server runs one)
+    and the worst exit code (1 for a server that could not be drained).
+    """
+    sanitizer_ok: Optional[bool] = None
+    exit_worst = 0
+    for server in servers:
+        try:
+            probe = await ServeClient.connect(
+                unix_path=server.socket_path, timeout=5.0
+            )
+            try:
+                sanitizer = (await probe.stats(timeout=10.0)).get("sanitizer")
+                if sanitizer is not None:
+                    sanitizer_ok = (
+                        bool(sanitizer.get("ok")) and sanitizer_ok is not False
+                    )
+                await probe.drain(timeout=10.0)
+            finally:
+                await probe.close()
+        except (ReproError, OSError, asyncio.TimeoutError):
+            exit_worst = 1
+    for server in servers:
+        code: Optional[int] = None
+        with contextlib.suppress(asyncio.TimeoutError):
+            code = await server.wait(timeout_s=10.0)
+        if code != 0 and exit_worst == 0:
+            exit_worst = 1 if code is None else code
+    return sanitizer_ok, exit_worst
+
+
+async def run_chaos(cfg: ChaosConfig, workdir: str) -> ChaosReport:
+    """One full campaign: serve, load, break, settle, judge, tear down.
+
+    Whatever happens — success, a failed restart, cancellation — the
+    teardown cancels the load and the slow consumers, closes the proxy,
+    stops the front-end and SIGKILLs and reaps every server process.
+    """
+    if cfg.campaign not in SCHEDULES:
+        raise ServeError(f"unknown chaos campaign {cfg.campaign!r}")
+    row = SCHEDULES[cfg.campaign]
+    os.makedirs(workdir, exist_ok=True)
+    n = max(1, cfg.shards) if row.topology == "cluster" else 1
+    names = [f"shard{i}" for i in range(n)]
+    servers = [
+        ServerProcess(
+            os.path.join(workdir, f"{name}.sock"),
+            os.path.join(workdir, f"{name}-journal.ndjson"),
+            cfg,
+        )
+        for name in names
+    ]
+    proxy: Optional[ChaosProxy] = None
+    frontend: Optional[ClusterFrontend] = None
+    frontend_task: Optional[asyncio.Future] = None
+    tasks: List[asyncio.Future] = []
+    slow_stop = asyncio.Event()
+
+    t_start = time.monotonic()
+    try:
+        for server in servers:
+            await server.start()
+        target = servers[0].socket_path
+        if row.topology == "proxy":
+            target = os.path.join(workdir, "proxy.sock")
+            proxy = ChaosProxy(
+                target, servers[0].socket_path, cfg,
+                rng=random.Random(cfg.seed ^ 0x5EED),
+            )
+            await proxy.start()
+        elif row.topology == "cluster":
+            target = os.path.join(workdir, "placer.sock")
+            frontend = ClusterFrontend(ClusterConfig(
+                shards=tuple(
+                    ShardAddress(name=name, unix_path=server.socket_path)
+                    for name, server in zip(names, servers)
+                ),
+                seed=cfg.seed,
+                health_interval_s=0.1,
+                probe_timeout_s=2.0,
+                # deliberate SIGKILLs are not crash loops: never
+                # quarantine a shard for dying on schedule
+                crash_loop_window_s=0.0,
+                restart_backoff_s=0.1,
+                restart_ready_timeout_s=SERVER_START_TIMEOUT_S,
+                shard_drain_grace_s=cfg.rolling_grace_s,
+            ))
+            await frontend.start(unix_path=target)
+            frontend_task = asyncio.ensure_future(frontend.run_until_drained())
+            if row.supervised:
+                for name, server in zip(names, servers):
+                    frontend.register_restarter(
+                        name, _subprocess_restarter(server)
+                    )
+
+        slow_tasks = [
+            asyncio.ensure_future(_slowloris(target, i, slow_stop))
+            for i in range(cfg.slowloris if row.load == "storm" else 0)
+        ]
+        tasks.extend(slow_tasks)
+        scripts = fig4_scripts(
+            n=max(8, cfg.clients * 2), demand_mb=DEMAND_MB, hold_s=row.hold_s
+        )
+        load_task = asyncio.ensure_future(
+            run_loadgen(scripts, _load_config(cfg, row), unix_path=target)
+        )
+        tasks.append(load_task)
+
+        kills = rolled = 0
+        if row.fault == "roll":
+            # warm up: let the load establish leases and admitted periods
+            await asyncio.sleep(min(cfg.kill_interval_s, cfg.duration_s / 4))
+            results = await frontend.rolling_restart(
+                grace_s=cfg.rolling_grace_s
+            )
+            rolled = sum(1 for ok in results.values() if ok)
+        for cycle in range(cfg.kills if row.fault == "kill" else 0):
             await asyncio.sleep(cfg.kill_interval_s)
             if load_task.done():
                 break
-            server.kill()
-            await server.wait()
-            kills += 1
-            await server.start()
-        load = await load_task
-    except BaseException:
-        load_task.cancel()
-        slow_stop.set()
-        for task in slow_tasks:
-            task.cancel()
-        with contextlib.suppress(BaseException):
-            await load_task
-        for task in slow_tasks:
-            with contextlib.suppress(BaseException):
-                await task
-        raise
-
-    # Storm is over: call off the slow consumers, then let the lease
-    # reaper reclaim everything they and the storm clients left behind.
-    slow_stop.set()
-    for task in slow_tasks:
-        task.cancel()
-    slow_results = await asyncio.gather(*slow_tasks, return_exceptions=True)
-    slow_disconnects = sum(r for r in slow_results if isinstance(r, int))
-
-    settled = False
-    settle_t0 = time.monotonic()
-    final_open = final_usage = final_waiting = final_clients = -1
-    sanitizer_ok: Optional[bool] = None
-    replayed = 0
-    probe = await ServeClient.connect(unix_path=socket_path, timeout=5.0)
-    try:
-        deadline = settle_t0 + cfg.settle_timeout_s
-        while time.monotonic() < deadline:
-            try:
-                q = await probe.query(timeout=10.0)
-            except asyncio.TimeoutError:
-                # a timed-out round trip leaves the connection
-                # desynchronized — reconnect and keep settling
-                await probe.close()
-                probe = await ServeClient.connect(
-                    unix_path=socket_path, timeout=5.0
-                )
+            victims = [(cycle + k) % n for k in range(n)]
+            if row.supervised:
+                # Pick a victim the supervisor has already healed — a
+                # still-dead shard yields no new kill to supervise.
+                victims = [
+                    i for i in victims
+                    if frontend.placer.shards[names[i]].alive
+                ]
+            if not victims:
                 continue
-            final_open = int(q.get("open_periods", -1))
-            final_waiting = int(q.get("waiting", -1))
-            final_clients = int(q.get("clients", -1))
-            final_usage = sum(
-                int(state.get("usage_bytes", 0))
-                for state in q.get("resources", {}).values()
-            )
-            replayed = int((q.get("journal") or {}).get("replayed_periods", 0))
-            if (
-                final_open == 0
-                and final_usage == 0
-                and final_waiting == 0
-                and final_clients == 0
-            ):
-                settled = True
-                break
-            await asyncio.sleep(0.1)
-        with contextlib.suppress(asyncio.TimeoutError):
-            stats = await probe.stats(timeout=10.0)
-            sanitizer = stats.get("sanitizer")
-            if sanitizer is not None:
-                sanitizer_ok = bool(sanitizer.get("ok"))
-            await probe.drain(timeout=10.0)
+            victim = servers[victims[0]]
+            victim.kill()
+            await victim.wait()
+            kills += 1
+            if proxy is not None:
+                # Connections through the proxy are stranded on a dead
+                # backend; hard-drop them so clients reconnect promptly.
+                proxy.sever_all()
+            if not row.supervised:
+                await victim.start()
+        load = await load_task
+
+        # The load is over: call off the slow consumers, then let the
+        # lease reaper reclaim everything the clients left behind.
+        slow_stop.set()
+        slow_results = await asyncio.gather(
+            *slow_tasks, return_exceptions=True
+        )
+        settle_t0 = time.monotonic()
+        settled, totals = await _settle(servers, row, frontend)
+        settle_s = time.monotonic() - settle_t0
+
+        alive = quarantined = 0
+        counters: Dict[str, int] = {}
+        if frontend is not None:
+            # capacity-recovery verdict inputs, read *before* the drain
+            # below tears the shards down
+            await frontend._health_sweep()
+            alive = len(frontend.placer.alive_shards())
+            quarantined = len(frontend.quarantined)
+            # from here on every shard death is deliberate: stop the
+            # supervisor before it resurrects what the drain takes down
+            await frontend.disarm_supervision()
+            counters = {
+                name: counter.value
+                for name, counter in (
+                    ("placements", frontend.c_placements),
+                    ("redirects", frontend.c_redirects),
+                    ("forwards", frontend.c_forwards),
+                    ("migrations", frontend.c_migrations),
+                    ("migration_failures", frontend.c_migration_failures),
+                    ("shard_restarts", frontend.c_shard_restarts),
+                    ("rebalance_migrations", frontend.c_rebalances),
+                    ("shard_drains", frontend.c_shard_drains),
+                )
+            }
+        sanitizer_ok, exit_code = await _drain(servers)
+        return ChaosReport(
+            seed=cfg.seed,
+            wall_s=time.monotonic() - t_start,
+            kills=kills,
+            faults=(
+                dict(proxy.faults) if proxy is not None
+                else dict.fromkeys(FAULT_KINDS, 0)
+            ),
+            faults_total=proxy.faults_total if proxy is not None else 0,
+            proxy_connections=proxy.connections if proxy is not None else 0,
+            load=load,
+            replayed_periods_last_boot=totals["replayed"],
+            settled=settled,
+            settle_s=settle_s,
+            final_open_periods=totals["open"],
+            final_usage_bytes=totals["usage"],
+            final_waiting=totals["waiting"],
+            sanitizer_ok=sanitizer_ok,
+            server_exit_code=exit_code,
+            server_output=[
+                f"[{name}] {line}" if frontend is not None else line
+                for name, server in zip(names, servers)
+                for line in server.output
+            ],
+            campaign=cfg.campaign,
+            shards=n if frontend is not None else 0,
+            cluster_counters=counters,
+            shard_restarts=counters.get("shard_restarts", 0),
+            shards_alive_final=alive,
+            shards_quarantined=quarantined,
+            rolled_shards=rolled,
+            p99_bound_s=cfg.p99_bound_s,
+            p99_observed_s=load.admission_latency.p99,
+            slowloris_clients=len(slow_tasks),
+            slowloris_disconnects=sum(
+                r for r in slow_results if isinstance(r, int)
+            ),
+            final_clients=totals["clients"],
+        )
     finally:
-        await probe.close()
-    settle_s = time.monotonic() - settle_t0
-
-    exit_code: Optional[int] = None
-    with contextlib.suppress(asyncio.TimeoutError):
-        exit_code = await server.wait(timeout_s=10.0)
-    if exit_code is None:
-        server.kill()
-        with contextlib.suppress(asyncio.TimeoutError):
-            await server.wait(timeout_s=5.0)
-
-    return ChaosReport(
-        seed=cfg.seed,
-        wall_s=time.monotonic() - t_start,
-        kills=kills,
-        faults={kind: 0 for kind in FAULT_KINDS},
-        faults_total=0,
-        proxy_connections=0,
-        load=load,
-        replayed_periods_last_boot=replayed,
-        settled=settled,
-        settle_s=settle_s,
-        final_open_periods=final_open,
-        final_usage_bytes=final_usage,
-        final_waiting=final_waiting,
-        sanitizer_ok=sanitizer_ok,
-        server_exit_code=exit_code,
-        server_output=list(server.output),
-        overload=True,
-        p99_bound_s=cfg.p99_bound_s,
-        p99_observed_s=load.admission_latency.p99,
-        slowloris_clients=cfg.slowloris,
-        slowloris_disconnects=slow_disconnects,
-        final_clients=final_clients,
-    )
+        slow_stop.set()
+        for task in tasks:
+            task.cancel()
+        await asyncio.gather(*tasks, return_exceptions=True)
+        if frontend is not None:
+            await frontend.disarm_supervision()
+            frontend.request_drain()
+            if frontend_task is not None:
+                with contextlib.suppress(BaseException):
+                    await frontend_task
+        if proxy is not None:
+            await proxy.close()
+        for server in servers:
+            if server.proc is not None and server.proc.returncode is None:
+                server.kill()
+                with contextlib.suppress(Exception):
+                    await server.wait(timeout_s=5.0)
 
 
-def run_overload_chaos_sync(cfg: ChaosConfig, workdir: str) -> ChaosReport:
-    """Blocking wrapper around :func:`run_overload_chaos` (CLI entry)."""
-    return asyncio.run(run_overload_chaos(cfg, workdir))
+def run_chaos_sync(cfg: ChaosConfig, workdir: str) -> ChaosReport:
+    """Blocking wrapper around :func:`run_chaos` (CLI entry point)."""
+    return asyncio.run(run_chaos(cfg, workdir))

@@ -1,16 +1,30 @@
-"""Chaos acceptance: kill -9 a real journaled server under mangled load.
+"""Chaos acceptance: kill -9 real journaled servers under hostile load.
 
-The campaign boots ``python -m repro serve`` as a subprocess, drives it
-with resilient clients through the fault-injecting proxy, SIGKILLs and
-restarts it mid-load, and then asserts the recovery contract from the
-ISSUE: hundreds of injected faults, a clean online sanitizer, and not one
-byte of leaked capacity.
+The campaign boots ``python -m repro serve`` subprocesses, drives them
+with resilient clients (through the fault-injecting proxy, a placer
+front-end, or an open-loop storm), SIGKILLs or rolls them mid-load, and
+then asserts the recovery contract: a clean online sanitizer and not one
+byte of leaked capacity.  Every schedule row runs here at a small size;
+the verdict table and the abort path are pinned separately.
 """
 
 import asyncio
+import dataclasses
+
+import pytest
 
 from repro.cli import build_parser
-from repro.serve.chaos import ChaosConfig, ChaosProxy, run_chaos
+from repro.experiments.metrics import summarize_samples
+from repro.serve import chaos
+from repro.serve.chaos import (
+    SCHEDULES,
+    ChaosConfig,
+    ChaosProxy,
+    ChaosReport,
+    ServerProcess,
+    run_chaos,
+)
+from repro.serve.loadgen import LoadgenReport
 
 #: seeded and deliberately vicious: roughly one frame in five is mangled
 CAMPAIGN = ChaosConfig(
@@ -29,6 +43,10 @@ CAMPAIGN = ChaosConfig(
     lease_check_s=0.1,
     park_timeout_s=2.0,
 )
+
+#: the other schedules at the smallest size that passes reliably
+SMALL = dict(shards=2, clients=2, duration_s=1.0, kills=1,
+             kill_interval_s=0.5, lease_ttl_s=1.0, rolling_grace_s=1.0)
 
 
 class TestChaosCampaign:
@@ -61,6 +79,129 @@ class TestChaosCampaign:
         payload = report.to_dict()
         assert payload["ok"] is True
         assert payload["faults_total"] == report.faults_total
+
+    @pytest.mark.parametrize(
+        "campaign", ["shard-kill", "supervised", "rolling", "overload"]
+    )
+    def test_every_schedule_recovers(self, tmp_path, campaign):
+        cfg = ChaosConfig(campaign=campaign, **SMALL)
+        report = asyncio.run(run_chaos(cfg, str(tmp_path)))
+        detail = "\n".join([report.describe(), *report.server_output[-10:]])
+
+        assert report.ok, detail
+        if campaign == "shard-kill":
+            assert report.kills == cfg.kills, detail
+        elif campaign == "supervised":
+            assert report.shard_restarts > 0, detail
+        elif campaign == "rolling":
+            assert report.rolled_shards == report.shards == cfg.shards, detail
+        else:
+            assert report.load.admission_latency.count > 0, detail
+            assert report.p99_observed_s <= report.p99_bound_s, detail
+
+    @pytest.mark.parametrize("campaign", sorted(SCHEDULES))
+    def test_cancelled_campaign_leaves_no_server_running(
+        self, tmp_path, monkeypatch, campaign
+    ):
+        servers = []
+        load_started = asyncio.Event()
+        real_start = ServerProcess.start
+        real_loadgen = chaos.run_loadgen
+
+        async def tracking_start(self):
+            servers.append(self)
+            await real_start(self)
+
+        async def signalling_loadgen(*args, **kwargs):
+            load_started.set()
+            return await real_loadgen(*args, **kwargs)
+
+        monkeypatch.setattr(ServerProcess, "start", tracking_start)
+        monkeypatch.setattr(chaos, "run_loadgen", signalling_loadgen)
+
+        async def scenario():
+            cfg = ChaosConfig(
+                campaign=campaign, **{**SMALL, "duration_s": 5.0}
+            )
+            task = asyncio.ensure_future(run_chaos(cfg, str(tmp_path)))
+            await asyncio.wait_for(load_started.wait(), timeout=30.0)
+            await asyncio.sleep(0.3)
+            task.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await task
+            alive = [
+                s.socket_path for s in servers if s.proc.returncode is None
+            ]
+            for server in servers:
+                if server.proc.returncode is None:
+                    server.kill()
+                    await server.wait(timeout_s=5.0)
+            return alive
+
+        assert asyncio.run(scenario()) == []
+        assert servers
+
+
+def _report(campaign, **changes):
+    """A healthy 3-shard report under ``campaign``, then ``changes``."""
+    load_changes = {
+        k: changes.pop(k) for k in ("lost_periods", "sheds_without_hint")
+        if k in changes
+    }
+    counts = {
+        f.name: 0 for f in dataclasses.fields(LoadgenReport)
+        if f.type in ("int", int)
+    }
+    load = LoadgenReport(
+        **{**counts, **load_changes},
+        mode="closed", wall_s=1.0, throughput_pps=10.0,
+        admission_latency=summarize_samples([0.01] * 10),
+        park_time=summarize_samples([]),
+        utilization_mean=0.5, utilization_peak=1.0,
+    )
+    report = ChaosReport(
+        seed=0, wall_s=1.0, kills=2,
+        faults=dict.fromkeys(chaos.FAULT_KINDS, 0),
+        faults_total=0, proxy_connections=0, load=load,
+        replayed_periods_last_boot=0, settled=True, settle_s=0.0,
+        final_open_periods=0, final_usage_bytes=0, final_waiting=0,
+        sanitizer_ok=True, server_exit_code=0, campaign=campaign,
+        shards=3, shard_restarts=2, shards_alive_final=3,
+        shards_quarantined=0, rolled_shards=3, p99_bound_s=5.0,
+        p99_observed_s=0.5,
+    )
+    return dataclasses.replace(report, **changes)
+
+
+class TestChaosVerdicts:
+    @pytest.mark.parametrize("campaign, breach", [
+        ("supervised", {"shard_restarts": 0}),
+        ("supervised", {"shards_quarantined": 1}),
+        ("rolling", {"lost_periods": 1}),
+        ("rolling", {"rolled_shards": 2}),
+        ("overload", {"sheds_without_hint": 1}),
+        ("overload", {"p99_observed_s": 6.0}),
+    ])
+    def test_each_extra_verdict_can_fail_a_report(self, campaign, breach):
+        assert _report(campaign).ok
+        assert not _report(campaign, **breach).ok
+        # the base contract alone does not look at these numbers
+        assert _report("kill", **breach).ok
+
+    @pytest.mark.parametrize("campaign, header", [
+        ("kill", "chaos campaign ("),
+        ("shard-kill", "cluster chaos campaign ("),
+        ("supervised", "supervised cluster campaign ("),
+        ("rolling", "rolling restart campaign ("),
+        ("overload", "overload campaign ("),
+    ])
+    def test_describe_header_names_the_schedule(self, campaign, header):
+        first = _report(campaign).describe().splitlines()[0]
+        assert first.startswith(header)
+        payload = _report(campaign).to_dict()
+        assert payload["campaign"] == campaign
+        for flag in ("supervised", "rolling", "overload"):
+            assert payload[flag] is (campaign == flag)
 
 
 class TestChaosProxyFaults:
