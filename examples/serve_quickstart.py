@@ -78,7 +78,7 @@ async def contention_parks_the_third_client(sock: str) -> None:
     parked = [t for t in begins if not t.done()]
     print(f"admitted immediately: {len(running)}; parked: {len(parked)}")
 
-    # the first pp_end frees 6.3 MB and wakes the parked connection
+    # the first pp_end frees 6.3 MB and admits the parked begin
     first = running[0].result()
     await clients[begins.index(running[0])].pp_end(first["pp_id"])
     woken = await asyncio.wait_for(parked[0], 5.0)

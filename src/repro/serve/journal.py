@@ -322,7 +322,7 @@ class AdmissionJournal:
         """Crash-simulation shutdown: drop the handle without syncing.
 
         Also poisons the append path — any state mutation the dying
-        process still performs (e.g. cleanup of parked handlers) must not
+        process still performs (e.g. cleanup of its sessions) must not
         reach a log that a real SIGKILL would have left untouched.
         """
         self._dead = True

@@ -3,8 +3,8 @@
 In the paper's kernel, a process that dies is reaped by the OS and its
 LLC charges are implicitly released.  The admission *service* only sees a
 socket, so it needs an explicit liveness contract: every lease-bound
-client holds a **lease** renewed implicitly by any frame it sends (parked
-connections included) and explicitly by the ``heartbeat`` verb.  A
+client holds a **lease** renewed implicitly by any frame it sends (while
+one of its begins is parked too) and explicitly by the ``heartbeat`` verb.  A
 server-side reaper cancels the admitted periods of clients whose lease
 expired — whether their connection died (crash) or silently wedged (a
 proxy holding a dead TCP session open).

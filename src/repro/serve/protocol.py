@@ -1,8 +1,9 @@
 """The ``repro.serve`` wire protocol: newline-delimited JSON frames.
 
 One request per line, one reply per line (a parked ``pp_begin`` defers its
-reply until the period is admitted, times out, or the server drains — the
-connection is parked exactly as the kernel parks a process).  Every frame
+reply until the period is admitted, times out, or the server drains, while
+the connection serves the frames behind it — so replies are matched to
+requests by ``id``, not by order).  Every frame
 is a JSON object terminated by ``\\n``; the protocol is versioned through
 the mandatory ``v`` field so incompatible servers reject old clients with
 a typed error instead of undefined behaviour.

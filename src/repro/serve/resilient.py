@@ -414,10 +414,9 @@ class ResilientServeClient:
     async def _heartbeat_loop(self) -> None:
         """Keep the lease warm, even across reconnects and parked begins.
 
-        Failures are swallowed: a heartbeat that cannot be delivered now
-        will be superseded by the next one, and a server push-back frame
-        received while parked renews the lease server-side regardless of
-        whether this reply ever arrives.
+        The server answers a heartbeat at once even while one of this
+        client's begins is parked.  Failures are swallowed: a heartbeat
+        that cannot be delivered now will be superseded by the next one.
         """
         while not self._closed:
             await asyncio.sleep(self._hb_interval_s)

@@ -14,11 +14,12 @@ Design points:
   event loop, and no handler holds an ``await`` point inside a mutation
   sequence, so the core stack needs no locks — the asyncio loop plays the
   role of the kernel's run-queue lock.
-* **Denied periods park the connection.**  A ``pp_begin`` the policy
-  rejects does not get an immediate "no": the reply is deferred until a
-  completing period frees capacity (the waitlist admits it), the per-client
-  park timeout lapses, or the server drains — exactly how the kernel parks
-  a process on the resource wait queue.
+* **Denied periods park.**  A ``pp_begin`` the policy rejects does not
+  get an immediate "no": the reply is deferred until a completing period
+  frees capacity (the waitlist admits it), the park timeout lapses, or the
+  server drains — exactly how the kernel parks one thread on the resource
+  wait queue while its siblings run on.  The connection is not parked: it
+  keeps serving later frames, whose replies may overtake the deferred one.
 * **Bounded overload.**  The pending-admission queue is capped
   (``max_pending``); beyond it, new ``pp_begin`` requests receive a typed
   ``RETRY_AFTER`` reply instead of growing server memory without bound.
@@ -778,16 +779,22 @@ class _Session:
         self.record.session = self
         self.writer = writer
         self.closed = False
-        #: frames that arrived while the connection was parked; processed
-        #: in order once the deferred pp_begin reply has been sent
-        self.pushback: List[bytes] = []
+
+    def post(self, frame: Dict[str, Any]) -> None:
+        """Queue one frame on the transport without waiting for the peer."""
+        if self.closed:
+            return
+        try:
+            self.writer.write(protocol.encode_frame(frame))
+        except (ConnectionError, RuntimeError):
+            self.closed = True
 
     async def send(self, frame: Dict[str, Any]) -> None:
+        self.post(frame)
         if self.closed:
             return
         timeout = self.service.cfg.write_timeout_s
         try:
-            self.writer.write(protocol.encode_frame(frame))
             if timeout is None:
                 await self.writer.drain()
             else:
@@ -808,6 +815,19 @@ class _Session:
         return f"<session #{self.id}>"
 
 
+@dataclass
+class _Waiter:
+    """A parked ``pp_begin``: where its deferred reply goes, and when."""
+
+    session: _Session
+    request_id: Optional[int]
+    period: ProgressPeriod
+    parked_at: float
+    #: the deadline is the park_deadline_s sojourn bound (PARK_TIMEOUT)
+    shed: bool = False
+    timer: Optional[asyncio.TimerHandle] = None
+
+
 class AdmissionServer:
     """Asyncio front-end: transports, parking, timeouts, drain."""
 
@@ -815,8 +835,8 @@ class AdmissionServer:
         self.cfg = cfg
         self.service = AdmissionService(cfg)
         self.sessions: set[_Session] = set()
-        #: pp_id -> future resolved with "admitted" | "drained"
-        self._parked: Dict[int, asyncio.Future] = {}
+        #: pp_id -> the parked pp_begin waiting for its verdict
+        self._parked: Dict[int, _Waiter] = {}
         self._servers: List[asyncio.AbstractServer] = []
         self._unix_path: Optional[str] = None
         self.draining = False
@@ -892,10 +912,8 @@ class AdmissionServer:
         # Stop accepting new connections.
         for server in self._servers:
             server.close()
-        # Wake every parked client with a DRAINING reply.
-        for future in list(self._parked.values()):
-            if not future.done():
-                future.set_result("drained")
+        for pp_id in list(self._parked):
+            self._settle(pp_id, "drained")
         # Give running periods the grace budget to pp_end naturally.
         deadline = time.monotonic() + self.cfg.drain_grace_s
         while (
@@ -937,9 +955,8 @@ class AdmissionServer:
         for task in self._background:
             task.cancel()
         await asyncio.gather(*self._background, return_exceptions=True)
-        for future in list(self._parked.values()):
-            if not future.done():
-                future.cancel()
+        for pp_id in list(self._parked):
+            self._settle(pp_id, "cancelled")
         for session in list(self.sessions):
             session.closed = True
             with contextlib.suppress(Exception):
@@ -989,7 +1006,6 @@ class AdmissionServer:
             for pp_id in list(record.api.open_ids()):
                 period = record.api.period(pp_id)
                 if dead or period.state is PeriodState.RUNNING:
-                    self._parked.pop(pp_id, None)
                     admitted.extend(self._cancel_period(record, pp_id))
                     reclaimed += 1
             if reclaimed:
@@ -1024,29 +1040,30 @@ class AdmissionServer:
     async def _serve_session(
         self, session: _Session, reader: asyncio.StreamReader
     ) -> None:
+        """The connection's only reader; a parked begin never blocks it."""
         while not session.closed:
-            if session.pushback:
-                line = session.pushback.pop(0)
-            else:
-                try:
-                    line = await asyncio.wait_for(
-                        protocol.read_raw_frame(
-                            reader, self.cfg.max_frame_bytes
-                        ),
-                        timeout=self.cfg.idle_timeout_s,
-                    )
-                except (asyncio.TimeoutError, ConnectionError):
-                    return  # idle client or dead transport: hang up
-                except ProtocolError as exc:
-                    # Oversized frame: the byte stream can no longer be
-                    # re-synchronized — typed error, then hang up.
-                    self.service.c_protocol_errors.inc()
-                    await session.send(
-                        protocol.error_reply(None, exc.code, exc.message)
-                    )
-                    return
-                if not line:
-                    return  # EOF
+            try:
+                line = await asyncio.wait_for(
+                    protocol.read_raw_frame(reader, self.cfg.max_frame_bytes),
+                    timeout=self.cfg.idle_timeout_s,
+                )
+            except asyncio.TimeoutError:
+                # A client waiting on its parked begin is not idle.
+                if any(w.session is session for w in self._parked.values()):
+                    continue
+                return
+            except ConnectionError:
+                return
+            except ProtocolError as exc:
+                # Oversized frame: the byte stream can no longer be
+                # re-synchronized — typed error, then hang up.
+                self.service.c_protocol_errors.inc()
+                await session.send(
+                    protocol.error_reply(None, exc.code, exc.message)
+                )
+                return
+            if not line:
+                return  # EOF
             self.service.c_requests.inc()
             try:
                 request = protocol.parse_request(
@@ -1060,21 +1077,18 @@ class AdmissionServer:
                 continue
             # Any well-formed frame proves the client is alive.
             self.service.leases.renew(session.record)
-            reply = await self._dispatch(session, reader, request)
+            reply = self._dispatch(session, request)
             if reply is not None:
                 await session.send(reply)
             if request.op == "drain":
                 self.request_drain()
 
-    async def _dispatch(
-        self,
-        session: _Session,
-        reader: asyncio.StreamReader,
-        request: protocol.Request,
+    def _dispatch(
+        self, session: _Session, request: protocol.Request
     ) -> Optional[Dict[str, Any]]:
         try:
             if request.op == "pp_begin":
-                return await self._op_pp_begin(session, reader, request)
+                return self._op_pp_begin(session, request)
             if request.op == "pp_end":
                 return self._op_pp_end(session, request)
             if request.op == "hello":
@@ -1096,11 +1110,8 @@ class AdmissionServer:
     # ------------------------------------------------------------------
     # verbs
     # ------------------------------------------------------------------
-    async def _op_pp_begin(
-        self,
-        session: _Session,
-        reader: asyncio.StreamReader,
-        request: protocol.Request,
+    def _op_pp_begin(
+        self, session: _Session, request: protocol.Request
     ) -> Optional[Dict[str, Any]]:
         service = self.service
         service.c_begin.inc()
@@ -1120,9 +1131,9 @@ class AdmissionServer:
                     service.c_idempotent.inc()
                     return self._admitted_reply(request.id, period, deduped=True)
                 if period is not None and period.state is PeriodState.WAITING:
-                    # A stale parked period from a taken-over connection:
-                    # supersede it rather than park the same token twice.
-                    self._parked.pop(known, None)
+                    # A begin still parked under this token (on a taken-
+                    # over connection, or pipelined on this one): supersede
+                    # it rather than park the same token twice.
                     self._wake(self._cancel_period(record, known))
         if self.draining:
             service.c_draining_rejects.inc()
@@ -1195,7 +1206,8 @@ class AdmissionServer:
             service.note_usage()
             service.journal_admit(period)
             return self._admitted_reply(request.id, period)
-        return await self._park(session, reader, request, period)
+        self._park(session, request, period)
+        return None
 
     def _retry_hint_s(self) -> float:
         """The retry hint carried by shed replies.
@@ -1221,130 +1233,87 @@ class AdmissionServer:
             occupancy, p50, cfg.retry_hint_floor_s, cfg.retry_hint_cap_s
         )
 
-    async def _park(
+    def _park(
         self,
         session: _Session,
-        reader: asyncio.StreamReader,
         request: protocol.Request,
         period: ProgressPeriod,
-    ) -> Optional[Dict[str, Any]]:
-        """Defer the reply until admission, timeout, drain, or disconnect.
+    ) -> None:
+        """Register the waiter whose reply the verdict's decider sends.
 
-        While parked we keep one frame read in flight so a client that
-        dies mid-park is noticed immediately (its period is cancelled and
-        its demand released) instead of squatting on the waitlist until the
-        park timeout.  Frames a client pipelines while parked are buffered
-        and served after the deferred reply.
+        Admission (:meth:`_wake`), the park deadline, drain and
+        cancellation (:meth:`_cancel_period`) each end the park through
+        :meth:`_settle`.
         """
-        service = self.service
-        service.note_usage()
+        self.service.note_usage()
         loop = asyncio.get_running_loop()
-        future: asyncio.Future = loop.create_future()
-        self._parked[period.pp_id] = future
-        parked_at = loop.time()
-        deadline = (
-            None
-            if self.cfg.park_timeout_s is None
-            else parked_at + self.cfg.park_timeout_s
-        )
+        waiter = _Waiter(session, request.id, period, loop.time())
+        self._parked[period.pp_id] = waiter
+        timeout = self.cfg.park_timeout_s
         # CoDel-style sojourn bound: a separate, typically much tighter
         # deadline that sheds the period with PARK_TIMEOUT + a retry hint
         # instead of the legacy terminal TIMEOUT.
-        sojourn_deadline = (
-            None
-            if self.cfg.park_deadline_s is None
-            else parked_at + self.cfg.park_deadline_s
-        )
-        if sojourn_deadline is not None and (
-            deadline is None or sojourn_deadline < deadline
-        ):
-            deadline, shed_deadline = sojourn_deadline, True
-        else:
-            shed_deadline = False
-        read_task: Optional[asyncio.Task] = None
-        try:
-            while True:
-                if read_task is None:
-                    read_task = asyncio.ensure_future(protocol.read_raw_frame(
-                        reader, self.cfg.max_frame_bytes
-                    ))
-                timeout = (
-                    None if deadline is None else max(0.0, deadline - loop.time())
-                )
-                done, _ = await asyncio.wait(
-                    {future, read_task},
-                    timeout=timeout,
-                    return_when=asyncio.FIRST_COMPLETED,
-                )
-                eof = False
-                if read_task in done:
-                    try:
-                        line = read_task.result()
-                    except (ConnectionError, ProtocolError):
-                        # An oversized frame while parked is handled like
-                        # a disconnect: the stream is unrecoverable.
-                        line, eof = b"", True
-                    read_task = None
-                    if line:
-                        session.pushback.append(line)
-                        # A pipelined frame (heartbeat included) proves the
-                        # parked client alive even before it is parsed.
-                        service.leases.renew(session.record)
-                    else:
-                        eof = True
-                if eof:
-                    # Client vanished while parked.  Anonymous periods are
-                    # cancelled outright; a lease-bound client may be
-                    # reconnecting, so its parked period is cancelled (the
-                    # reply target is gone) but re-issue by token is safe.
-                    session.closed = True
-                    service.c_disconnect_cancel.inc()
-                    self._wake(self._cancel_period(session.record, period.pp_id))
-                    self._wake(service.rescue_starved())
-                    return None  # no one left to reply to
-                if future.done():
-                    break
-                if not done and read_task is not None:
-                    # Pure timeout: cancel the period and tell the client.
-                    self._wake(self._cancel_period(session.record, period.pp_id))
-                    self._wake(service.rescue_starved())
-                    if shed_deadline:
-                        # Sojourn bound: the wait is shed, not failed —
-                        # the typed error carries a retry hint.
-                        service.c_park_deadline.inc()
-                        return protocol.error_reply(
-                            request.id, ErrorCode.PARK_TIMEOUT,
-                            f"parked past the {self.cfg.park_deadline_s} s "
-                            "sojourn deadline; period cancelled",
-                            waited_s=self.cfg.park_deadline_s,
-                            retry_after_s=self._retry_hint_s(),
-                        )
-                    service.c_park_timeout.inc()
-                    return protocol.error_reply(
-                        request.id, ErrorCode.TIMEOUT,
-                        f"parked longer than the {self.cfg.park_timeout_s} s "
-                        "park timeout; period cancelled",
-                        waited_s=self.cfg.park_timeout_s,
-                    )
-        finally:
-            self._parked.pop(period.pp_id, None)
-            service.h_sojourn.observe(max(0.0, loop.time() - parked_at))
-            if read_task is not None:
-                read_task.cancel()
-                with contextlib.suppress(
-                    asyncio.CancelledError, ConnectionError, ProtocolError
-                ):
-                    await read_task
-        if future.result() == "drained":
-            self._wake(self._cancel_period(session.record, period.pp_id))
-            return protocol.error_reply(
-                request.id, ErrorCode.DRAINING,
+        sojourn = self.cfg.park_deadline_s
+        if sojourn is not None and (timeout is None or sojourn < timeout):
+            timeout, waiter.shed = sojourn, True
+        if timeout is not None:
+            waiter.timer = loop.call_later(
+                timeout, self._settle, period.pp_id, "timeout"
+            )
+
+    def _settle(self, pp_id: int, verdict: str) -> None:
+        """End one park and send its deferred reply.
+
+        ``verdict`` is ``"admitted"``, ``"timeout"``, ``"drained"``, or
+        ``"cancelled"`` (the period is being cancelled on behalf of a
+        client that is gone or superseded it: nobody to answer).
+        """
+        waiter = self._parked.pop(pp_id, None)
+        if waiter is None:
+            return
+        if waiter.timer is not None:
+            waiter.timer.cancel()
+        service = self.service
+        loop = asyncio.get_running_loop()
+        service.h_sojourn.observe(max(0.0, loop.time() - waiter.parked_at))
+        if verdict == "cancelled":
+            return
+        if verdict == "admitted":
+            service.c_after_park.inc()
+            service.h_park.observe(waiter.period.waited_s)
+            service.note_usage()
+            waiter.session.post(
+                self._admitted_reply(waiter.request_id, waiter.period)
+            )
+            return
+        self._wake(self._cancel_period(waiter.session.record, pp_id))
+        if verdict == "drained":
+            reply = protocol.error_reply(
+                waiter.request_id, ErrorCode.DRAINING,
                 "server drained while the period was parked; period cancelled",
             )
-        service.c_after_park.inc()
-        service.h_park.observe(period.waited_s)
-        service.note_usage()
-        return self._admitted_reply(request.id, period)
+        else:
+            self._wake(service.rescue_starved())
+            if waiter.shed:
+                # Sojourn bound: the wait is shed, not failed — the typed
+                # error carries a retry hint.
+                service.c_park_deadline.inc()
+                reply = protocol.error_reply(
+                    waiter.request_id, ErrorCode.PARK_TIMEOUT,
+                    f"parked past the {self.cfg.park_deadline_s} s "
+                    "sojourn deadline; period cancelled",
+                    waited_s=self.cfg.park_deadline_s,
+                    retry_after_s=self._retry_hint_s(),
+                )
+            else:
+                service.c_park_timeout.inc()
+                reply = protocol.error_reply(
+                    waiter.request_id, ErrorCode.TIMEOUT,
+                    f"parked longer than the {self.cfg.park_timeout_s} s "
+                    "park timeout; period cancelled",
+                    waited_s=self.cfg.park_timeout_s,
+                )
+        waiter.session.post(reply)
 
     def _admitted_reply(
         self,
@@ -1546,12 +1515,13 @@ class AdmissionServer:
     ) -> List[ProgressPeriod]:
         """Cancel one period with full bookkeeping: token, journal, charge.
 
-        Tolerates a period that is already gone (e.g. a takeover cancelled
-        it just before the old connection's EOF path runs) — cancellation
-        paths race by design and the loser must be a no-op.
+        A parked period's waiter is settled unanswered.  Tolerates a period
+        that is already gone — cancellation paths race by design and the
+        loser must be a no-op.
         """
         record.drop_token(pp_id)
         self.service.forget_prediction(pp_id)
+        self._settle(pp_id, "cancelled")
         try:
             record.api.period(pp_id)
         except ProgressPeriodError:
@@ -1560,18 +1530,16 @@ class AdmissionServer:
         return record.api.pp_cancel(pp_id)
 
     def _wake(self, admitted: List[ProgressPeriod]) -> None:
-        """Resolve the parked futures of newly admitted periods.
+        """Answer the parked begins of newly admitted periods.
 
         Every waitlist admission — after a release, a rescue, or a reaper
         reclaim — funnels through here, so this is also where after-park
         admissions hit the journal: the write-ahead record lands before
-        the parked handler wakes to send its reply.
+        the deferred reply is sent.
         """
         for period in admitted:
             self.service.journal_admit(period)
-            future = self._parked.get(period.pp_id)
-            if future is not None and not future.done():
-                future.set_result("admitted")
+            self._settle(period.pp_id, "admitted")
 
     def _cleanup_session(self, session: _Session) -> None:
         """Connection gone: settle what dies with it, keep what is leased.
@@ -1580,8 +1548,9 @@ class AdmissionServer:
         cancelled, demand released, waiters admitted (the kernel's
         thread-exit path, `abandon_owner`).  A lease-bound record keeps
         its RUNNING periods alive under the lease (the client may be
-        reconnecting); only parked periods are cancelled, because their
-        deferred reply has no destination any more.
+        reconnecting); only the begins this connection parked are
+        cancelled, because their deferred reply has no destination any
+        more.  A begin the client parked on a newer connection stays.
         """
         record = session.record
         if record.session is session:
@@ -1589,9 +1558,10 @@ class AdmissionServer:
         cancelled = False
         admitted: List[ProgressPeriod] = []
         for pp_id in record.api.open_ids():
-            period = record.api.period(pp_id)
-            if record.anonymous or period.state is PeriodState.WAITING:
-                self._parked.pop(pp_id, None)  # its future dies with the task
+            waiter = self._parked.get(pp_id)
+            if record.anonymous or (
+                waiter is not None and waiter.session is session
+            ):
                 admitted.extend(self._cancel_period(record, pp_id))
                 self.service.c_disconnect_cancel.inc()
                 cancelled = True

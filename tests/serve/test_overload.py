@@ -25,6 +25,7 @@ from repro.core.progress_period import ResourceKind, ReuseLevel
 from repro.errors import ServeError
 from repro.experiments.metrics import LatencySummary
 from repro.serve.client import ServeClient, ServeReplyError
+from repro.serve import protocol
 from repro.serve.cluster import start_local_cluster
 from repro.serve.loadgen import LoadgenReport
 from repro.serve.protocol import ErrorCode
@@ -292,9 +293,9 @@ class TestPerClientQuota:
             service = server.service
             a = await ServeClient.connect(unix_path=sock)
             reply_a = await a.pp_begin(MB(2))
-            # Park one period on the named record directly (a pipelined
-            # second begin on one connection is buffered behind the park,
-            # so the quota is exercised via the lease-held record).
+            # Park one period on the named record directly: the quota
+            # counts the record's parked periods, whichever connection
+            # parked them.
             record, resumed = service.leases.get_or_create(
                 "greedy", service.make_record
             )
@@ -319,6 +320,57 @@ class TestPerClientQuota:
             await a.pp_end(reply_b["pp_id"])
             await a.close()
             await g.close()
+            await finish(server, run_task)
+
+        asyncio.run(scenario())
+
+
+    def test_second_begin_pipelined_behind_a_parked_one_is_rejected(
+        self, tmp_path
+    ):
+        async def scenario():
+            server, sock, run_task = await start_server(
+                tmp_path, max_pending_per_client=1
+            )
+            service = server.service
+            holder = await ServeClient.connect(unix_path=sock)
+            held = await holder.pp_begin(MB(3))
+
+            def frame(request_id, op, **fields):
+                return protocol.encode_frame({
+                    "v": protocol.PROTOCOL_VERSION, "id": request_id,
+                    "op": op, **fields,
+                })
+
+            reader, writer = await asyncio.open_unix_connection(sock)
+            writer.write(
+                frame(1, "hello", client="greedy")
+                + frame(2, "pp_begin", demand_bytes=MB(3))
+                + frame(3, "pp_begin", demand_bytes=MB(1))
+            )
+            # the hello ack, then the shed of the second begin, while the
+            # first one is still parked
+            for expected in (1, 3):
+                reply = protocol.decode_frame(
+                    await asyncio.wait_for(reader.readline(), 2.0)
+                )
+                assert reply["id"] == expected
+            assert reply["error"]["code"] == ErrorCode.RETRY_AFTER
+            assert "per-client quota" in reply["error"]["message"]
+            assert service.c_quota_rejects.value == 1
+            assert len(service.waitlist) == 1
+            await holder.pp_end(held["pp_id"])
+            reply = protocol.decode_frame(
+                await asyncio.wait_for(reader.readline(), 2.0)
+            )
+            assert reply["id"] == 2 and reply["admitted"] is True
+            writer.write(frame(4, "pp_end", pp_id=reply["pp_id"]))
+            reply = protocol.decode_frame(
+                await asyncio.wait_for(reader.readline(), 2.0)
+            )
+            assert reply["released"] is True
+            writer.close()
+            await holder.close()
             await finish(server, run_task)
 
         asyncio.run(scenario())

@@ -154,6 +154,12 @@ class TestResilience:
             await holder.pp_end(held["pp_id"])
             reply = await asyncio.wait_for(begin, 3.0)
             assert reply["admitted"] is True
+            # the heartbeats were answered during the park, so the client
+            # kept its connection and its place in the queue
+            assert parked.retries == 0
+            assert parked.reconnects == 0
+            assert server.service.c_disconnect_cancel.value == 0
+            assert reply["waited_s"] >= 0.8
             await parked.pp_end(reply["pp_id"])
             await holder.close()
             await parked.close()

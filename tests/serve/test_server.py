@@ -15,6 +15,7 @@ import pytest
 from repro.config import default_machine_config
 from repro.core.api import MB
 from repro.core.policy import StrictPolicy
+from repro.errors import ProtocolError
 from repro.serve import protocol
 from repro.serve.client import ServeClient, ServeReplyError
 from repro.serve.cluster import start_local_cluster
@@ -104,6 +105,162 @@ class TestDisconnectWhileParked:
             assert reply_b["admitted"] is True
             assert reply_b["waited_s"] > 0.0
             await b.pp_end(reply_b["pp_id"])
+            await b.close()
+            await finish(server, run_task)
+
+        asyncio.run(scenario())
+
+
+async def read_replies(reader, n, timeout):
+    """The next ``n`` reply frames on a raw connection, keyed by id."""
+    replies = {}
+    for _ in range(n):
+        reply = protocol.decode_frame(
+            await asyncio.wait_for(reader.readline(), timeout)
+        )
+        replies[reply["id"]] = reply
+    return replies
+
+
+def frame(request_id, op, **fields):
+    return protocol.encode_frame(
+        {"v": protocol.PROTOCOL_VERSION, "id": request_id, "op": op, **fields}
+    )
+
+
+class TestParkedBeginKeepsConnectionServed:
+    """A parked pp_begin holds its period, not its connection."""
+
+    def test_pp_end_pipelined_behind_a_parked_begin_frees_it(self, tmp_path):
+        async def scenario():
+            server, sock, run_task = await start_server(
+                tmp_path, machine=tiny_machine(8.0), park_timeout_s=2.0
+            )
+            reader, writer = await asyncio.open_unix_connection(sock)
+            writer.write(frame(1, "pp_begin", demand_bytes=MB(6)))
+            reply_a = (await read_replies(reader, 1, 2.0))[1]
+            assert reply_a["admitted"] is True
+            # B cannot fit beside A and parks; the pp_end of A rides
+            # behind it on the same connection, no reply read in between
+            writer.write(
+                frame(2, "pp_begin", demand_bytes=MB(6))
+                + frame(3, "pp_end", pp_id=reply_a["pp_id"])
+            )
+            sent = asyncio.get_running_loop().time()
+            replies = await read_replies(reader, 2, 1.0)
+            assert asyncio.get_running_loop().time() - sent < 1.0
+            assert replies[3]["released"] is True
+            assert replies[3]["admitted_waiters"] == 1
+            assert replies[2]["admitted"] is True
+            assert server.service.c_after_park.value == 1
+            assert server.service.c_park_timeout.value == 0
+            writer.write(frame(4, "pp_end", pp_id=replies[2]["pp_id"]))
+            assert (await read_replies(reader, 1, 2.0))[4]["released"] is True
+            writer.close()
+            await finish(server, run_task)
+
+        asyncio.run(scenario())
+
+    def test_takeover_keeps_the_begin_the_new_connection_parked(self, tmp_path):
+        async def scenario():
+            server, sock, run_task = await start_server(
+                tmp_path, park_timeout_s=2.0
+            )
+            service = server.service
+            holder = await ServeClient.connect(unix_path=sock)
+            held = await holder.pp_begin(MB(3))
+            old = await ServeClient.connect(unix_path=sock)
+            await old.hello("t")
+            # the new connection takes the identity over and parks a begin
+            # before the old one has seen its hang-up
+            reader, writer = await asyncio.open_unix_connection(sock)
+            writer.write(
+                frame(1, "hello", client="t")
+                + frame(2, "pp_begin", demand_bytes=MB(3))
+            )
+            assert (await read_replies(reader, 1, 2.0))[1]["ok"] is True
+            await wait_until(lambda: len(service.waitlist) == 1)
+            await asyncio.sleep(0.1)  # the old connection's cleanup runs
+            assert len(service.waitlist) == 1
+            assert service.c_disconnect_cancel.value == 0
+            await holder.pp_end(held["pp_id"])
+            reply = (await read_replies(reader, 1, 1.0))[2]
+            assert reply["admitted"] is True
+            writer.write(frame(3, "pp_end", pp_id=reply["pp_id"]))
+            assert (await read_replies(reader, 1, 2.0))[3]["released"] is True
+            writer.close()
+            await holder.close()
+            await old.close()
+            await finish(server, run_task)
+
+        asyncio.run(scenario())
+
+    def test_same_token_pipelined_behind_its_parked_begin_supersedes_it(
+        self, tmp_path
+    ):
+        async def scenario():
+            server, sock, run_task = await start_server(tmp_path)
+            service = server.service
+            holder = await ServeClient.connect(unix_path=sock)
+            held = await holder.pp_begin(MB(3))
+            reader, writer = await asyncio.open_unix_connection(sock)
+            writer.write(
+                frame(1, "pp_begin", demand_bytes=MB(3), token="t")
+                + frame(2, "pp_begin", demand_bytes=MB(3), token="t")
+                + frame(3, "query")
+            )
+            # the re-issue replaced the first begin in the queue
+            assert (await read_replies(reader, 1, 2.0))[3]["waiting"] == 1
+            await holder.pp_end(held["pp_id"])
+            # only the newer request is answered
+            reply = await read_replies(reader, 1, 2.0)
+            assert list(reply) == [2] and reply[2]["admitted"] is True
+            writer.write(frame(4, "pp_end", pp_id=reply[2]["pp_id"]))
+            assert (await read_replies(reader, 1, 2.0))[4]["released"] is True
+            assert service.c_after_park.value == 1
+            writer.close()
+            await holder.close()
+            await finish(server, run_task)
+
+        asyncio.run(scenario())
+
+
+class TestIdleTimeout:
+    def test_idle_connection_is_hung_up(self, tmp_path):
+        async def scenario():
+            server, sock, run_task = await start_server(
+                tmp_path, idle_timeout_s=0.2
+            )
+            reader, writer = await asyncio.open_unix_connection(sock)
+            assert await asyncio.wait_for(reader.read(), 2.0) == b""
+            writer.close()
+            await finish(server, run_task)
+
+        asyncio.run(scenario())
+
+    def test_connection_waiting_on_a_parked_begin_is_not_idle(self, tmp_path):
+        async def scenario():
+            server, sock, run_task = await start_server(
+                tmp_path, idle_timeout_s=0.3
+            )
+            service = server.service
+            a = await ServeClient.connect(unix_path=sock)
+            b = await ServeClient.connect(unix_path=sock)
+            reply_a = await a.pp_begin(MB(3))
+            park_task = asyncio.ensure_future(b.pp_begin(MB(3)))
+            # B is parked and silent for three idle timeouts; A keeps
+            # talking, so only B's connection could look idle
+            for _ in range(18):
+                await a.query()
+                await asyncio.sleep(0.05)
+            assert not park_task.done()
+            assert len(service.waitlist) == 1
+            assert service.c_disconnect_cancel.value == 0
+            await a.pp_end(reply_a["pp_id"])
+            reply_b = await asyncio.wait_for(park_task, 2.0)
+            assert reply_b["admitted"] is True
+            await b.pp_end(reply_b["pp_id"])
+            await a.close()
             await b.close()
             await finish(server, run_task)
 
@@ -293,6 +450,38 @@ class TestDrain:
             assert sanitizer.ok, sanitizer.summary()
             for client in (a, b, c):
                 await client.close()
+
+        asyncio.run(scenario())
+
+    @pytest.mark.parametrize("stop", ["drain", "abort"])
+    def test_stopping_leaves_no_parked_waiter_behind(self, tmp_path, stop):
+        async def scenario():
+            server, sock, run_task = await start_server(
+                tmp_path, drain_grace_s=0.2
+            )
+            a = await ServeClient.connect(unix_path=sock)
+            b = await ServeClient.connect(unix_path=sock)
+            await a.pp_begin(MB(3))
+            park_task = asyncio.ensure_future(b.pp_begin(MB(3)))
+            await wait_until(lambda: len(server.service.waitlist) == 1)
+            if stop == "drain":
+                server.request_drain()
+                with pytest.raises(ServeReplyError) as err:
+                    await asyncio.wait_for(park_task, 5.0)
+                assert err.value.code == ErrorCode.DRAINING
+            else:
+                await server.abort()
+                run_task.cancel()
+                with pytest.raises((ProtocolError, ConnectionError)):
+                    await asyncio.wait_for(park_task, 5.0)
+            assert not server._parked
+            await asyncio.gather(run_task, return_exceptions=True)
+            await a.close()
+            await b.close()
+            # every server task, session handlers included, has ended
+            await wait_until(
+                lambda: asyncio.all_tasks() == {asyncio.current_task()}
+            )
 
         asyncio.run(scenario())
 
